@@ -333,7 +333,7 @@ def cmd_moment_report(args, config: Config) -> int:
     out_dir = args.out if args.out is not None else config.output_dir
     data = report.regression_data(config)
     _emit(report.render_report(data))
-    paths = report.write_regression_report(config, out_dir)
+    paths = report.write_regression_report(data, out_dir)
     for path in paths:
         _emit(f"written: {path}\n")
     return 0

@@ -449,10 +449,10 @@ def regression_report(config: Config) -> str:
     return render_report(regression_data(config))
 
 
-def write_regression_report(config: Config, out_dir: str) -> list[str]:
-    """Write the text and JSON forms; returns the paths written."""
+def write_regression_report(data: dict, out_dir: str) -> list[str]:
+    """Write the text and JSON forms of regression_data output; returns
+    the paths written."""
     os.makedirs(out_dir, exist_ok=True)
-    data = regression_data(config)
     text = render_report(data)
     txt_path = os.path.join(out_dir, "regression_report.txt")
     json_path = os.path.join(out_dir, "regression_report.json")

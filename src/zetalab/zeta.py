@@ -29,7 +29,12 @@ large |Im z| so nothing overflows; branch ambiguities are multiples of
 
 Direct-sum reductions in the scalar paths use math.fsum, which is
 exactly rounded, so the compensation never limits accuracy.  The grid
-paths use numpy pairwise summation, adequate for quadrature use.
+path (zeta_grid_multi) shares one phase row per cell of width 4/log N
+between the nodes of that cell and shifts it to each node by a Taylor
+polynomial of order K, the smallest K with e^x x^K/K! <= 2^-53 where
+x = max|t - c| (1/2) log N <= 1; the dropped tail is then below the
+rounding of sum n^{-sigma}, and the values agree with the scalar path
+to the eps * |t| * log N level set by the phases' own rounding.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import loggamma
 
-from .dirichlet import DivisorTable
+from .dirichlet import DivisorTable, _fsum_complex
 from .errors import DomainError, PoleError, PrecisionError
 
 LN2 = math.log(2.0)
@@ -53,7 +58,7 @@ LNPI = math.log(math.pi)
 
 _MAX_ABS_T = 1.0e6
 _MAX_TERMS = 1 << 24
-_GRID_BLOCK = 128  # rows of the phase matrix processed at once
+_CELL_BLOCK = 64  # cells per phase block: bounds the block at 64 x N
 
 
 @dataclass(frozen=True)
@@ -161,6 +166,25 @@ def _em_tail(s: complex, n: int, q: int) -> complex:
     return tail
 
 
+def _em_tail_grid(s: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Boundary and Bernoulli-correction terms at cut N = n over an array
+    of s, nested as N^{-s} (N/(s-1) + 1/2 + (s/N) A) with
+    A = c_1 + (s+1)(s+2)/N^2 (c_2 + (s+3)(s+4)/N^2 (c_3 + ...)) and
+    c_r = B_2r/(2r)!."""
+    coeffs = _correction_coeffs(q)
+    tail = np.full(s.shape, coeffs[q - 1], dtype=np.complex128)
+    for r in range(q - 1, 0, -1):
+        tail *= s + (2 * r - 1)
+        tail *= s + 2 * r
+        tail /= n * n
+        tail += coeffs[r - 1]
+    tail *= s / n
+    tail += 0.5
+    tail += n / (s - 1)
+    tail *= np.exp(-s * math.log(n))
+    return tail
+
+
 def zeta(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
     """zeta(s) by Euler-Maclaurin with an exactly-rounded direct sum.
 
@@ -172,11 +196,20 @@ def zeta(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
     n = _choose_terms(s, settings)
     logk = np.log(np.arange(1, n, dtype=np.float64))
     terms = np.exp(-s * logk)
-    direct = complex(fsum(terms.real), fsum(terms.imag))
+    direct = _fsum_complex(terms)
     value = direct + _em_tail(s, n, settings.bernoulli_order)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise PrecisionError(f"non-finite zeta value at s = {s}")
     return value
+
+
+def _taylor_order(x: float) -> int:
+    """Smallest K with e^x x^K / K! <= 2^-53 (K = 1 at x = 0)."""
+    k, bound = 0, math.exp(x)
+    while bound > 2.0**-53:
+        k += 1
+        bound *= x / k
+    return k
 
 
 def zeta_grid_multi(
@@ -186,9 +219,26 @@ def zeta_grid_multi(
 ) -> np.ndarray:
     """zeta(sigma_i + i t_j) for every sigma in sigmas and t in ts.
 
-    All sigmas share one phase matrix exp(-i t log n), which is the
-    dominant cost; rows come back in the order of `sigmas`.  Used by the
-    quadrature and scan paths, where numpy pairwise summation is enough.
+    The direct sum D(t) = sum_{n<N} n^{-sigma} e^{-it log n} is taken by
+    a cell-centred Taylor shift (the multi-evaluation idea of
+    Odlyzko-Schoenhage).  The nodes are put on the absolute lattice of
+    cells of width 4/log N; a cell's centre c is the midpoint of its
+    nodes' range, so every offset h = t - c has |h| <= 2/log N.  With
+    u_n = log n - (1/2) log N each cell forms the moments
+
+        M_k = sum_n n^{-sigma} e^{-ic log n} u_n^k / k!,   k < K,
+
+    by one phase row and real matrix products, and each node gets
+
+        D(t) = e^{-ih (1/2) log N} sum_{k<K} (-ih)^k M_k.
+
+    With x = max|h| (1/2) log N <= 1 over the call, K is the smallest
+    integer with e^x x^K / K! <= 2^-53 (K <= 19), so the dropped tail is
+    below the rounding of sum_n n^{-sigma}.  A lone node in its cell
+    has h = 0 and, when every cell is lone, K = 1: the plain direct sum.
+    The phase c log n is rounded like t log n, so values agree with
+    zeta() to the eps * t * log N level.  The cells depend only on the
+    nodes of this call; rows come back in the order of `sigmas`.
     """
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size == 0:
@@ -200,32 +250,59 @@ def zeta_grid_multi(
             raise DomainError(f"sigma < -1 unsupported, got {sig}")
     if t_extreme > _MAX_ABS_T:
         raise DomainError(f"|t| > {_MAX_ABS_T:g} unsupported")
+    if any(sig == 1 for sig in sigmas) and np.any(ts == 0):
+        raise PoleError("zeta has a pole at s = 1")
     n = _choose_terms(complex(sig_min, t_extreme), settings)
     q = settings.bernoulli_order
-    logk = np.log(np.arange(1, n, dtype=np.float64))
-    weights = [np.exp(-sig * logk) for sig in sigmas]
-    out = np.empty((len(sigmas), ts.size), dtype=np.complex128)
     logn = math.log(n)
-    coeffs = _correction_coeffs(q)
-    for lo in range(0, ts.size, _GRID_BLOCK):
-        hi = min(lo + _GRID_BLOCK, ts.size)
-        block = ts[lo:hi]
-        phases = np.exp(np.outer(block, logk) * (-1j))
-        for row, sig in enumerate(sigmas):
-            s = sig + 1j * block
-            if np.any(s == 1):
-                raise PoleError("zeta has a pole at s = 1")
-            direct = phases @ weights[row]
-            n_to_minus_s = np.exp(-s * logn)
-            tail = n * n_to_minus_s / (s - 1) + n_to_minus_s / 2
-            rise = s.copy()
-            n_pow = n_to_minus_s / n
-            for r in range(1, q + 1):
-                tail += coeffs[r - 1] * rise * n_pow
-                if r < q:
-                    rise = rise * (s + (2 * r - 1)) * (s + 2 * r)
-                    n_pow = n_pow / (n * n)
-            out[row, lo:hi] = direct + tail
+    half_logn = 0.5 * logn
+    logk = np.log(np.arange(1, n, dtype=np.float64))
+
+    out = np.empty((len(sigmas), ts.size), dtype=np.complex128)
+    for row, sig in enumerate(sigmas):
+        out[row] = _em_tail_grid(sig + 1j * ts, n, q)
+
+    cells, cell_of = np.unique(np.floor(ts / (4 / logn)), return_inverse=True)
+    n_cells = cells.size
+    lo = np.full(n_cells, np.inf)
+    hi = np.full(n_cells, -np.inf)
+    np.minimum.at(lo, cell_of, ts)
+    np.maximum.at(hi, cell_of, ts)
+    centres = 0.5 * (lo + hi)
+    h = ts - centres[cell_of]
+    order = _taylor_order(float(np.max(np.abs(h))) * half_logn)
+
+    u = logk - half_logn
+    vander = np.empty((order, logk.size))  # row k: u^k / k!
+    vander[0] = 1.0
+    for k in range(1, order):
+        np.multiply(vander[k - 1], u, out=vander[k])
+        vander[k] /= k
+    weighted = [(vander * np.exp(-sig * logk)).T for sig in sigmas]
+    moments = np.empty((len(sigmas), order, n_cells), dtype=np.complex128)
+    for first in range(0, n_cells, _CELL_BLOCK):
+        c = centres[first : first + _CELL_BLOCK]
+        trig = np.empty((2, c.size, logk.size))
+        np.multiply.outer(c, logk, out=trig[1])
+        np.cos(trig[1], out=trig[0])
+        np.sin(trig[1], out=trig[1])
+        trig = trig.reshape(2 * c.size, logk.size)
+        for row, w in enumerate(weighted):
+            prod = (trig @ w).T  # cos rows, then sin rows: e^{-ix} = cos x - i sin x
+            block = moments[row, :, first : first + c.size]
+            block.real = prod[:, : c.size]
+            block.imag = -prod[:, c.size :]
+
+    shift = np.exp(-1j * half_logn * h)
+    for row in range(len(sigmas)):
+        m = moments[row]
+        direct = m[order - 1][cell_of]
+        for k in range(order - 2, -1, -1):
+            direct *= -1j  # times -ih: -i exactly, then h
+            direct *= h
+            direct += m[k][cell_of]
+        direct *= shift
+        out[row] += direct
     if not np.all(np.isfinite(out)):
         raise PrecisionError("non-finite zeta value in grid evaluation")
     return out
@@ -301,7 +378,7 @@ def partial_zeta_sum(s: complex, cutoff: float) -> complex:
         return 0j
     logk = np.log(np.arange(1, m + 1, dtype=np.float64))
     terms = np.exp(-complex(s) * logk)
-    return complex(fsum(terms.real), fsum(terms.imag))
+    return _fsum_complex(terms)
 
 
 def afe_simple(
@@ -353,7 +430,7 @@ def smoothed_sum(
     m = int(math.floor(smoothing * truncation_multiplier))
     k = np.arange(1, m + 1, dtype=np.float64)
     terms = np.exp(-k / smoothing - complex(s) * np.log(k))
-    return complex(fsum(terms.real), fsum(terms.imag))
+    return _fsum_complex(terms)
 
 
 def afe_zeta_squared(
@@ -391,11 +468,11 @@ def afe_zeta_squared(
     d = table.d
     logk = np.log(np.arange(1, nx + 1, dtype=np.float64))
     first_terms = d[1 : nx + 1] * np.exp(-s * logk)
-    first = complex(fsum(first_terms.real), fsum(first_terms.imag))
+    first = _fsum_complex(first_terms)
     if ny >= 1:
         logk2 = logk[:ny]
         second_terms = d[1 : ny + 1] * np.exp((s - 1) * logk2)
-        second = complex(fsum(second_terms.real), fsum(second_terms.imag))
+        second = _fsum_complex(second_terms)
     else:
         second = 0j
     value = first + chi(s) ** 2 * second

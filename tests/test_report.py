@@ -118,7 +118,7 @@ class TestRegressionReport:
         assert text.endswith("\n")
 
     def test_write_report_round_trips(self, data, tmp_path):
-        paths = write_regression_report(Config(), str(tmp_path))
+        paths = write_regression_report(data, str(tmp_path))
         assert len(paths) == 2
         with open(paths[1], encoding="utf-8") as fh:
             loaded = json.load(fh)

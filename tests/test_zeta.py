@@ -9,6 +9,7 @@ below the asserted tolerance.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import loggamma
@@ -28,7 +29,14 @@ from zetalab import (
     zeta,
     zeta_grid_multi,
 )
-from zetalab.zeta import bernoulli_numbers, default_smoothing_truncation, partial_zeta_sum
+from zetalab.quadrature import panel_edges
+from zetalab.zeta import (
+    DEFAULT_SETTINGS,
+    _choose_terms,
+    bernoulli_numbers,
+    default_smoothing_truncation,
+    partial_zeta_sum,
+)
 
 # frozen oracles (see module docstring)
 ZETA_HALF = -1.4603545088095868
@@ -114,6 +122,88 @@ class TestZetaGrid:
             zeta_grid_multi([1.0], np.array([0.0, 5.0]))
         with pytest.raises(DomainError):
             zeta_grid_multi([-2.0], np.array([1.0]))
+
+
+GRID_SIGMAS = (0.5, 0.75, 1.0)
+
+
+def _panel_nodes(t0: float) -> np.ndarray:
+    """16 Gauss nodes on each half-width quadrature panel of [t0, t0 + 1]."""
+    edges = panel_edges(t0, t0 + 1, 0.5)
+    x, _ = np.polynomial.legendre.leggauss(16)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    return (mids[:, None] + halves[:, None] * x[None, :]).ravel()
+
+
+def _grid_terms(ts: np.ndarray) -> int:
+    """The Euler-Maclaurin length N one grid call over ts uses."""
+    return _choose_terms(complex(min(GRID_SIGMAS), np.max(np.abs(ts))), DEFAULT_SETTINGS)
+
+
+def _assert_phase_level(got: complex, ref: complex, t: float, n: int):
+    """|got - ref| <= 4 eps |t| log N max(|ref|, 1): the rounding of the
+    phases t log n, which bounds both the grid and the scalar engine."""
+    tol = 4 * np.finfo(float).eps * abs(t) * math.log(n) * max(abs(ref), 1.0)
+    assert abs(got - ref) <= tol, (t, got, ref, tol)
+
+
+def _assert_grid_matches_scalar(ts: np.ndarray):
+    grid = zeta_grid_multi(GRID_SIGMAS, ts)
+    n = _grid_terms(ts)
+    for row, sig in enumerate(GRID_SIGMAS):
+        for t, got in zip(ts, grid[row]):
+            _assert_phase_level(got, zeta(complex(sig, t)), t, n)
+
+
+class TestGridTaylorShift:
+    """The cell-centred Taylor-shift kernel against independent oracles."""
+
+    @pytest.mark.parametrize("t0", [100.0, 1000.0, 4750.0, 9990.0])
+    def test_panel_nodes_against_mpmath(self, t0):
+        nodes = _panel_nodes(t0)
+        grid = zeta_grid_multi(GRID_SIGMAS, nodes)
+        n = _grid_terms(nodes)
+        picks = np.linspace(0, nodes.size - 1, 16).astype(int)
+        with mpmath.workdps(30):
+            for row, sig in enumerate(GRID_SIGMAS):
+                for i in picks:
+                    ref = complex(mpmath.zeta(mpmath.mpc(sig, nodes[i])))
+                    _assert_phase_level(grid[row, i], ref, nodes[i], n)
+
+    @pytest.mark.parametrize("t0", [100.0, 1000.0, 4750.0, 9990.0])
+    def test_panel_nodes_against_scalar(self, t0):
+        _assert_grid_matches_scalar(_panel_nodes(t0))
+
+    @pytest.mark.parametrize("t", [123.4, -777.7, 4321.0])
+    def test_one_node(self, t):
+        _assert_grid_matches_scalar(np.array([t]))
+
+    def test_reversed_and_duplicated_nodes_bit_identical(self):
+        nodes = _panel_nodes(1000.0)
+        grid = zeta_grid_multi(GRID_SIGMAS, nodes)
+        reversed_grid = zeta_grid_multi(GRID_SIGMAS, nodes[::-1])
+        assert np.array_equal(reversed_grid[:, ::-1], grid)
+        doubled = np.concatenate([nodes, nodes[::3], nodes[:5]])
+        doubled_grid = zeta_grid_multi(GRID_SIGMAS, doubled)
+        assert np.array_equal(doubled_grid[:, : nodes.size], grid)
+        repeated = np.r_[0 : nodes.size : 3, 0:5]
+        assert np.array_equal(doubled_grid[:, nodes.size :], grid[:, repeated])
+
+    def test_node_on_cell_edge(self):
+        n = _grid_terms(np.array([1001.0]))
+        width = 4 / math.log(n)
+        edge = 1901 * width
+        assert edge / width == 1901  # on the cell lattice exactly
+        offsets = width * np.array([0.5, 0.3, 0.1, 1e-9])
+        ts = np.concatenate([edge - offsets, [edge], edge + offsets[::-1]])
+        assert _grid_terms(ts) == n
+        _assert_grid_matches_scalar(ts)
+
+    def test_negative_t(self):
+        _assert_grid_matches_scalar(
+            np.concatenate([-_panel_nodes(1000.0), -_panel_nodes(100.0), _panel_nodes(100.0)])
+        )
 
 
 class TestChi:
