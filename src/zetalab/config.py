@@ -30,9 +30,9 @@ class Config:
     euler_maclaurin_terms: Optional[int] = None  # None means the auto rule
     bernoulli_order: int = 12
     target_abs_error: float = 1e-12
-    points_per_panel: int = 16
-    width_scale: float = 1.0
-    threads: int = 1
+    points_per_panel: int = QuadratureSettings.points_per_panel
+    width_scale: float = QuadratureSettings.width_scale
+    threads: int = QuadratureSettings.threads
     output_dir: str = "."
     divisor_table_size: int = 100_000
     afe_residual_limit: float = 10.0

@@ -24,10 +24,11 @@ with eps fixed at 0.01 to make the right side a number; and a sixth
 moment probe normalized by T^{5/4}.  Suppressed constants are unknown,
 so all three report values or ratios and never pass/fail.
 
-Error estimates come from panel refinement: the value is the half-width
-integral, the estimate is |half - base| floored at rounding level.
-Integration is deterministic for a fixed spec, threaded or not (see the
-quadrature module).
+Error estimates come from one quadrature pass: each panel's Kronrod sum
+is the value and its distance from the embedded Gauss sum the estimate
+(see the quadrature module), plus the rounding level of the integrand,
+floored at 1e-12 relative.  Integration is deterministic for a fixed
+spec, threaded or not.
 """
 
 from __future__ import annotations
@@ -46,13 +47,15 @@ from .errors import (
     ResourceLimitError,
 )
 from .quadrature import QuadratureSettings, integrate
-from .zeta import DEFAULT_SETTINGS, EvalSettings, zeta_grid_multi
+from .zeta import DEFAULT_SETTINGS, EvalSettings, _choose_terms, zeta_grid_multi
 
 _MAX_T_MOMENT = 1.0e4
 _MAX_T_SPLIT = 2000.0
 _ERROR_FLOOR = 1e-12
 _STALL_TOL = 1e-6
 _PROFILE_STEP = 0.005  # fine-grid step for the short-average profile
+_POLY_BLOCK = 512  # nodes per Dirichlet-polynomial phase block
+_EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -126,13 +129,16 @@ def _hybrid_integrand(sigma: float, j: int, eval_settings: EvalSettings):
 def integrate_moment(
     spec: MomentSpec, eval_settings: EvalSettings = DEFAULT_SETTINGS
 ) -> MomentResult:
-    """Evaluate the moment with a refinement-based error estimate.
+    """Evaluate the moment in one Gauss-Kronrod pass.
 
-    The base partition is integrated once, then again at half panel
-    width; the half-width value is returned and |half - base|, floored
-    at rounding level, is the error estimate.  If the two disagree
-    beyond all plausibility for a spectrally convergent rule, the
-    refinement has stalled and a precision error is raised.
+    The error estimate is the quadrature's sum of |K - G| over panels
+    plus the integrand's rounding level (4 + 2j) eps t_max log N |I|:
+    the phases t log n of an N-term zeta sum carry an absolute error of
+    about eps t log N, and the integrand raises |zeta| to the power
+    4 + 2j.  It is floored at 1e-12 (1 + |I|).  If |K - G| exceeds
+    1e-6 (1 + |I|), the panels cannot resolve the integrand (a pole at
+    t = 0 for sigma = 1 and j >= 1, or too few points per panel) and a
+    precision error is raised.
     """
     if spec.t_max > _MAX_T_MOMENT:
         raise ResourceLimitError(
@@ -141,15 +147,16 @@ def integrate_moment(
     if spec.t_max == spec.t_min:
         return MomentResult(0.0, 0.0, 0, spec)
     f = _hybrid_integrand(spec.sigma, spec.j, eval_settings)
-    base, _ = integrate(f, spec.t_min, spec.t_max, spec.quadrature)
-    value, panels = integrate(f, spec.t_min, spec.t_max, spec.quadrature.halved())
-    diff = abs(value - base)
+    value, panels, quad_error = integrate(f, spec.t_min, spec.t_max, spec.quadrature)
     scale = 1 + abs(value)
-    if diff > _STALL_TOL * scale:
+    if quad_error > _STALL_TOL * scale:
         raise PrecisionError(
-            f"quadrature refinement stalled on {spec}: base {base!r}, half {value!r}"
+            f"quadrature stalled on {spec}: value {value!r}, |K - G| {quad_error!r}"
         )
-    return MomentResult(value, max(diff, _ERROR_FLOOR * scale), panels, spec)
+    terms = _choose_terms(complex(0.5, spec.t_max), eval_settings)
+    rounding = (4 + 2 * spec.j) * _EPS * spec.t_max * math.log(terms) * abs(value)
+    error = max(quad_error + rounding, _ERROR_FLOOR * scale)
+    return MomentResult(value, error, panels, spec)
 
 
 def fit_growth(samples: Sequence[tuple[float, float]]) -> GrowthFit:
@@ -178,18 +185,37 @@ def dyadic_scan(
 ) -> GrowthFit:
     """Integrate [0, T] for each T and fit the growth exponent.
 
-    T^{1+eps} is the asymptotic target; at desk scale the fitted
-    exponent is recorded as illustrative, nothing more.
+    Each piece [T_{i-1}, T_i] (T_0 = 0) is integrated once and the
+    sample at T_i is the running fsum of the pieces.  T^{1+eps} is the
+    asymptotic target; at desk scale the fitted exponent is recorded as
+    illustrative, nothing more.
     """
     if len(t_list) < 3:
         raise DomainError("dyadic scan needs >= 3 values of T")
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise DomainError("T list must be strictly ascending")
     samples = []
+    pieces = []
+    lo = 0.0
     for big_t in t_list:
-        spec = MomentSpec(sigma, j, 0.0, float(big_t), quadrature)
-        samples.append((float(big_t), integrate_moment(spec, eval_settings).value))
+        spec = MomentSpec(sigma, j, lo, float(big_t), quadrature)
+        pieces.append(integrate_moment(spec, eval_settings).value)
+        samples.append((float(big_t), math.fsum(pieces)))
+        lo = float(big_t)
     return fit_growth(samples)
+
+
+def _dirichlet_poly_sq(
+    ts: np.ndarray, log_m: np.ndarray, coeffs: np.ndarray, sign: float
+) -> np.ndarray:
+    """|sum_m c_m e^{sign i t log m}|^2 at every node, with the phase
+    matrix built _POLY_BLOCK nodes at a time to bound its memory."""
+    out = np.empty(ts.size, dtype=np.float64)
+    for lo in range(0, ts.size, _POLY_BLOCK):
+        block = ts[lo : lo + _POLY_BLOCK]
+        poly = np.exp(sign * 1j * np.outer(block, log_m)) @ coeffs
+        out[lo : lo + block.size] = np.abs(poly) ** 2
+    return out
 
 
 def _critical_profile(t_hi: float, eval_settings: EvalSettings):
@@ -243,8 +269,7 @@ def split_i1_i2(
 
     def integrand_1(ts: np.ndarray) -> np.ndarray:
         crit = np.abs(zeta_grid_multi([0.5], ts, eval_settings)[0]) ** 4
-        poly = np.exp(-1j * np.outer(ts, log_n)) @ coeffs
-        return crit * np.abs(poly) ** 2
+        return crit * _dirichlet_poly_sq(ts, log_n, coeffs, -1.0)
 
     profile = _critical_profile(big_t + log_sq, eval_settings)
 
@@ -253,8 +278,8 @@ def split_i1_i2(
         short_avg = profile(ts + log_sq) - profile(ts - log_sq)
         return crit * short_avg**2
 
-    i1, _ = integrate(integrand_1, 0.0, big_t, quadrature)
-    i2, _ = integrate(integrand_2, 0.0, big_t, quadrature)
+    i1 = integrate(integrand_1, 0.0, big_t, quadrature)[0]
+    i2 = integrate(integrand_2, 0.0, big_t, quadrature)[0]
     return i1, smoothing ** (1 - 2 * sigma) * i2
 
 
@@ -294,10 +319,9 @@ def watt_ratio(
 
     def integrand(ts: np.ndarray) -> np.ndarray:
         crit = np.abs(zeta_grid_multi([0.5], ts, eval_settings)[0]) ** 4
-        poly = np.exp(1j * np.outer(ts, log_m)) @ a
-        return np.abs(poly) ** 2 * crit
+        return _dirichlet_poly_sq(ts, log_m, a, 1.0) * crit
 
-    lhs, _ = integrate(integrand, 0.0, big_t, quadrature)
+    lhs = integrate(integrand, 0.0, big_t, quadrature)[0]
     return lhs, rhs, lhs / rhs
 
 
@@ -320,5 +344,5 @@ def sixth_moment_probe(
     def integrand(ts: np.ndarray) -> np.ndarray:
         return np.abs(zeta_grid_multi([0.5], ts, eval_settings)[0]) ** 6
 
-    value, _ = integrate(integrand, 0.0, big_t, quadrature)
+    value = integrate(integrand, 0.0, big_t, quadrature)[0]
     return value / big_t**1.25

@@ -1,5 +1,7 @@
 """Deterministic panel quadrature."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +9,25 @@ import pytest
 
 from zetalab import DomainError, QuadratureSettings, integrate, panel_edges, panel_width
 from zetalab.errors import ResourceLimitError
+from zetalab.quadrature import _kronrod_rule
+
+EPS = 2.0**-52
+
+
+def _scipy_kronrod_literals(name: str) -> dict:
+    """The node and weight tuples of scipy's quad_vec Gauss-Kronrod rule
+    `name`, read from the installed source (x: Kronrod nodes, v: their
+    weights)."""
+    quad_vec = pytest.importorskip("scipy.integrate._quad_vec")
+    for node in ast.parse(inspect.getsource(quad_vec)).body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return {
+                st.targets[0].id: np.array(ast.literal_eval(st.value))
+                for st in node.body
+                if isinstance(st, ast.Assign) and isinstance(st.targets[0], ast.Name)
+                and st.targets[0].id in ("x", "v")
+            }
+    pytest.skip(f"{name} not in the installed scipy")
 
 
 class TestPanelRule:
@@ -61,40 +82,77 @@ class TestSettings:
             QuadratureSettings(**kwargs)
 
 
+class TestKronrodRule:
+    @pytest.mark.parametrize("n", [2, 7, 10, 16])
+    def test_exact_on_legendre_to_degree_3n_plus_1(self, n):
+        x, w, _ = _kronrod_rule(n)
+        assert x.size == 2 * n + 1 and (np.diff(x) > 0).all()
+        residual = np.polynomial.legendre.legvander(x, 3 * n + 1).T @ w
+        residual[0] -= 2.0
+        # each sum has 2n+1 terms of total modulus <= sum(w) = 2
+        assert np.abs(residual).max() <= 2 * (2 * n + 1) * EPS
+        # ... and no further: the first even degree beyond 3n+1 is missed
+        # (odd degrees vanish by symmetry)
+        beyond = 3 * n + 2 + n % 2
+        assert abs(np.polynomial.legendre.legvander(x, beyond)[:, beyond] @ w) > 1e-6
+
+    @pytest.mark.parametrize("n", [2, 7, 10, 16])
+    def test_gauss_subset_is_leggauss(self, n):
+        x, _, w_gauss = _kronrod_rule(n)
+        gx, gw = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x[1::2], gx)
+        assert np.array_equal(w_gauss, gw)
+
+    @pytest.mark.parametrize("n, name", [(7, "_quadrature_gk15"), (10, "_quadrature_gk21")])
+    def test_matches_quadpack_literals(self, n, name):
+        lit = _scipy_kronrod_literals(name)
+        order = np.argsort(lit["x"])
+        x, w, _ = _kronrod_rule(n)
+        assert np.abs(x - lit["x"][order]).max() <= 1e-15
+        assert np.abs(w - lit["v"][order]).max() <= 1e-15
+
+
 class TestIntegrate:
     def test_polynomial_exact(self):
-        value, panels = integrate(lambda t: t**3, 0.0, 10.0, QuadratureSettings())
+        value, panels, _ = integrate(lambda t: t**3, 0.0, 10.0, QuadratureSettings())
         assert value == pytest.approx(2500.0, abs=1e-9)
         assert panels >= 40
 
     def test_empty_interval(self):
-        assert integrate(lambda t: t, 5.0, 5.0) == (0.0, 0)
-        assert integrate(lambda t: t, 7.0, 5.0) == (0.0, 0)
+        assert integrate(lambda t: t, 5.0, 5.0) == (0.0, 0, 0.0)
+        assert integrate(lambda t: t, 7.0, 5.0) == (0.0, 0, 0.0)
 
     def test_oscillatory_spectral(self):
-        value, _ = integrate(np.cos, 0.0, 20.0 * math.pi, QuadratureSettings())
+        value, _, _ = integrate(np.cos, 0.0, 20.0 * math.pi, QuadratureSettings())
         assert abs(value) <= 1e-10
 
     def test_exponential(self):
-        value, _ = integrate(np.exp, 0.0, 5.0, QuadratureSettings())
+        value, _, _ = integrate(np.exp, 0.0, 5.0, QuadratureSettings())
         assert value == pytest.approx(math.exp(5.0) - 1.0, rel=1e-13)
 
     def test_parallel_matches_serial_bitwise(self):
         def f(ts):
             return np.abs(np.sin(ts * 3.1)) ** 1.7 + ts * 1e-3
 
-        serial, n1 = integrate(f, 0.0, 200.0, QuadratureSettings(threads=1))
+        serial = integrate(f, 0.0, 200.0, QuadratureSettings(threads=1))
         for threads in (2, 4, 7):
-            parallel, n2 = integrate(f, 0.0, 200.0, QuadratureSettings(threads=threads))
-            assert parallel == serial  # bit identity, not approx
-            assert n2 == n1
+            parallel = integrate(f, 0.0, 200.0, QuadratureSettings(threads=threads))
+            assert parallel == serial  # value, panels and error, bit for bit
+
+    def test_error_estimate_covers_error(self):
+        exact = math.atan(30.0)
+        for n in (2, 4, 10):
+            value, _, error = integrate(
+                lambda t: 1.0 / (1.0 + t**2), 0.0, 30.0, QuadratureSettings(n)
+            )
+            assert abs(value - exact) <= error
 
     def test_halving_refines(self):
         def f(ts):
             return 1.0 / (1.0 + ts**2)
 
         q = QuadratureSettings()
-        coarse, _ = integrate(f, 0.0, 30.0, q)
-        fine, _ = integrate(f, 0.0, 30.0, q.halved())
+        coarse, _, _ = integrate(f, 0.0, 30.0, q)
+        fine, _, _ = integrate(f, 0.0, 30.0, q.halved())
         exact = math.atan(30.0)
         assert abs(fine - exact) <= abs(coarse - exact) + 1e-15
