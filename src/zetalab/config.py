@@ -28,8 +28,8 @@ class Config:
     configuration, not theorems)."""
 
     euler_maclaurin_terms: Optional[int] = None  # None means the auto rule
-    bernoulli_order: int = 12
-    target_abs_error: float = 1e-12
+    bernoulli_order: int = EvalSettings.bernoulli_order
+    target_abs_error: float = EvalSettings.target_abs_error
     points_per_panel: int = QuadratureSettings.points_per_panel
     width_scale: float = QuadratureSettings.width_scale
     threads: int = QuadratureSettings.threads

@@ -35,6 +35,7 @@ from .errors import DomainError
 from .moments import MomentSpec, integrate_moment, sixth_moment_probe, watt_ratio
 from .zeta import (
     EvalSettings,
+    _choose_terms,
     afe_simple,
     afe_zeta_squared,
     chi_grid,
@@ -324,7 +325,7 @@ def regression_data(config: Config) -> dict:
     doubled = zeta(
         s_stab,
         EvalSettings(
-            euler_maclaurin_terms=2 * max(50, math.ceil(2 * abs(s_stab.imag))),
+            euler_maclaurin_terms=2 * _choose_terms(s_stab, es),
             bernoulli_order=es.bernoulli_order,
             target_abs_error=es.target_abs_error,
         ),

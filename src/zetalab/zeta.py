@@ -13,9 +13,10 @@ with the classical remainder bound
     |R_q| <= |B_{2q+2}|/(2q+2)! * |s(s+1)...(s+2q)| * N^{-sigma-2q-1}
              * |s+2q+1|/(sigma+2q+1).
 
-The auto rule N = max(50, ceil(2|t|)) with q = 12 keeps |R_q| far below
-1e-12 for |t| <= 1e6; the bound is evaluated (in log space) on every
-call and the term count grows if needed.
+In log space the bound is A(s) - (sigma+2q+1) log N with A independent
+of N, so the auto rule solves it for the smallest N >= 2 that meets
+target_abs_error (default 1e-13, q = 12): at sigma = 1/2 that is
+N = 92 at t = 184, 515 at t = 1e3 and 2529 at t = 4765.
 
 chi(s) = 2^s pi^(s-1) Gamma(1-s) sin(pi s / 2) is the ratio
 zeta(s)/zeta(1-s) from the functional equation.  It is computed from a
@@ -65,14 +66,15 @@ _CELL_BLOCK = 64  # cells per phase block: bounds the block at 64 x N
 class EvalSettings:
     """Euler-Maclaurin controls.
 
-    euler_maclaurin_terms: direct-sum length N, or None for the auto rule
-    max(50, ceil(2|t|)).  bernoulli_order: number q of correction terms.
-    target_abs_error: the remainder bound must not exceed this.
+    euler_maclaurin_terms: direct-sum length N, or None for the auto rule,
+    the smallest N >= 2 whose remainder bound meets target_abs_error.
+    bernoulli_order: number q of correction terms.  target_abs_error:
+    the remainder bound must not exceed this.
     """
 
     euler_maclaurin_terms: Optional[int] = None
     bernoulli_order: int = 12
-    target_abs_error: float = 1e-12
+    target_abs_error: float = 1e-13
 
     def __post_init__(self):
         if self.bernoulli_order < 1:
@@ -117,11 +119,12 @@ def _remainder_log_bound(s: complex, n_terms: int, q: int) -> float:
     log_rise = fsum(math.log(abs(s + i)) for i in range(2 * q + 1) if abs(s + i) > 0)
     log_n = -(sigma + 2 * q + 1) * math.log(n_terms)
     log_tail_factor = math.log(abs(s + 2 * q + 1) / (sigma + 2 * q + 1))
-    return log_b + log_rise + log_n + log_tail_factor
+    return log_b + log_rise + log_tail_factor + log_n
 
 
 def _choose_terms(s_extreme: complex, settings: EvalSettings) -> int:
-    """Pick N: the auto rule, grown until the remainder bound meets target."""
+    """Pick N: the fixed length if set, else the smallest N >= 2 whose
+    remainder bound A - p log N (p = sigma+2q+1) meets the target."""
     q = settings.bernoulli_order
     log_target = math.log(settings.target_abs_error)
     if settings.euler_maclaurin_terms is not None:
@@ -132,13 +135,20 @@ def _choose_terms(s_extreme: complex, settings: EvalSettings) -> int:
                 f"with {n} terms at s = {s_extreme}"
             )
         return n
-    n = max(50, math.ceil(2 * abs(s_extreme.imag)))
-    while _remainder_log_bound(s_extreme, n, q) > log_target:
-        n *= 2
-        if n > _MAX_TERMS:
-            raise PrecisionError(
-                f"cannot reach target {settings.target_abs_error:g} at s = {s_extreme}"
-            )
+    # _remainder_log_bound adds the log N term last, so a - p log n
+    # below equals _remainder_log_bound(s_extreme, n, q) bit for bit
+    a = _remainder_log_bound(s_extreme, 1, q)
+    p = s_extreme.real + 2 * q + 1
+    log_n = (a - log_target) / p
+    if not log_n < math.log(_MAX_TERMS):
+        raise PrecisionError(
+            f"cannot reach target {settings.target_abs_error:g} at s = {s_extreme}"
+        )
+    n = max(2, math.ceil(math.exp(log_n)))
+    while n > 2 and a - p * math.log(n - 1) <= log_target:
+        n -= 1
+    while a - p * math.log(n) > log_target:
+        n += 1
     return n
 
 

@@ -12,6 +12,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import loggamma
 
 from zetalab import (
@@ -33,6 +34,7 @@ from zetalab.quadrature import panel_edges
 from zetalab.zeta import (
     DEFAULT_SETTINGS,
     _choose_terms,
+    _remainder_log_bound,
     bernoulli_numbers,
     default_smoothing_truncation,
     partial_zeta_sum,
@@ -83,7 +85,7 @@ class TestZetaValues:
 
     def test_doubling_terms_is_stable(self):
         for s in (0.75 + 50j, 0.5 + 200j, 0.3 + 14.1347j):
-            auto = max(50, math.ceil(2 * abs(s.imag)))
+            auto = _choose_terms(s, DEFAULT_SETTINGS)
             doubled = EvalSettings(euler_maclaurin_terms=2 * auto)
             assert abs(zeta(s) - zeta(s, doubled)) <= 1e-12
 
@@ -103,6 +105,66 @@ class TestZetaValues:
             EvalSettings(target_abs_error=0.0)
         with pytest.raises(DomainError):
             EvalSettings(euler_maclaurin_terms=1)
+
+
+def _assert_oracle_level(s: complex):
+    """zeta(s) against 30-digit mpmath within the truncation target plus
+    the phase rounding: 2 target + 4 eps |t| log N scale, with
+    scale = max(|zeta|, 1, N^(1/2-sigma)).  N^(1/2-sigma) is the
+    random-walk size of the direct terms n^-sigma, which exceeds |zeta|
+    for sigma < 1/2 (at sigma = -1 the rounding reaches 1.3 times the
+    tolerance without it)."""
+    n = _choose_terms(s, DEFAULT_SETTINGS)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+    scale = max(abs(ref), 1.0, n ** (0.5 - s.real))
+    rounding = 4 * np.finfo(float).eps * abs(s.imag) * math.log(n) * scale
+    tol = 2 * DEFAULT_SETTINGS.target_abs_error + rounding
+    got = zeta(s)
+    assert abs(got - ref) <= tol, (s, n, got, ref, tol)
+
+
+class TestAutoRule:
+    """The auto rule picks the smallest N whose remainder bound meets the
+    target, and zeta() at that N stays at the target."""
+
+    @pytest.mark.parametrize("sigma", [-1.0, 0.5, 0.75, 1.0, 2.0])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 14.0, 100.0, 1e3, 1e4, 1e5])
+    def test_minimal(self, sigma, t):
+        s = complex(sigma, t)
+        q = DEFAULT_SETTINGS.bernoulli_order
+        log_target = math.log(DEFAULT_SETTINGS.target_abs_error)
+        n = _choose_terms(s, DEFAULT_SETTINGS)
+        assert _remainder_log_bound(s, n, q) <= log_target
+        assert n == 2 or _remainder_log_bound(s, n - 1, q) > log_target
+        assert n <= max(50, math.ceil(2 * t))  # the former start of the search
+
+    def test_unreachable_target_raises(self):
+        with pytest.raises(PrecisionError):
+            zeta(0.5 + 100j, EvalSettings(target_abs_error=1e-300, bernoulli_order=1))
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            complex(sigma, t)
+            for sigma in (-1.0, 0.0, 0.5, 1.0, 2.0)
+            for t in (0.0, 0.5, 3.0, 14.134725, 37.5, 71.25, 100.0)
+            if complex(sigma, t) != 1
+        ],
+    )
+    def test_low_t_against_mpmath(self, s):
+        _assert_oracle_level(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sigma=st.floats(-1.0, 2.0),
+        t=st.floats(-2000.0, 2000.0),
+    )
+    def test_drawn_points_against_mpmath(self, sigma, t):
+        s = complex(sigma, t)
+        # near the pole |zeta| ~ 1/|s - 1| outgrows the absolute target
+        assume(abs(s - 1) >= 0.25)
+        _assert_oracle_level(s)
 
 
 class TestZetaGrid:
@@ -193,8 +255,11 @@ class TestGridTaylorShift:
     def test_node_on_cell_edge(self):
         n = _grid_terms(np.array([1001.0]))
         width = 4 / math.log(n)
-        edge = 1901 * width
-        assert edge / width == 1901  # on the cell lattice exactly
+        k = math.ceil(1001 / width)
+        while (k * width) / width != k:
+            k += 1
+        edge = k * width
+        assert edge / width == k  # on the cell lattice exactly
         offsets = width * np.array([0.5, 0.3, 0.1, 1e-9])
         ts = np.concatenate([edge - offsets, [edge], edge + offsets[::-1]])
         assert _grid_terms(ts) == n
