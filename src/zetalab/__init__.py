@@ -71,7 +71,6 @@ from .dirichlet import (
     SumWindow,
     divisor_phase_sum_direct,
     divisor_phase_sum_hyperbola,
-    divisor_sieve,
     partial_summation_window,
     phase_sum,
     s1_s2_bound_check,
@@ -127,7 +126,6 @@ __all__ = [
     "consistency_check_mu_equals_pair",
     "divisor_phase_sum_direct",
     "divisor_phase_sum_hyperbola",
-    "divisor_sieve",
     "dump_config",
     "dyadic_scan",
     "enumerate_pairs",

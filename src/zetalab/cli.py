@@ -314,7 +314,7 @@ def cmd_moment_split(args, config: Config) -> int:
     i1, i2 = split_i1_i2(
         args.T, args.sigma, smoothing, config.quadrature_settings(), config.eval_settings()
     )
-    row = [_ff(args.T), _ff(args.sigma), _ff(smoothing), _ff(i1), _ff(i2)]
+    row = [_ff(args.T), _ff(args.sigma), _ff(smoothing), _ff(i1.value), _ff(i2.value)]
     _emit(report.emit_csv("T,sigma,Y,i1,i2", [row]))
     return 0
 
@@ -324,7 +324,7 @@ def cmd_moment_watt(args, config: Config) -> int:
     lhs, rhs, ratio = watt_ratio(
         args.T, len(coeffs), coeffs, config.quadrature_settings(), config.eval_settings()
     )
-    row = [_ff(args.T), str(len(coeffs)), _ff(lhs), _ff(rhs), _ff(ratio)]
+    row = [_ff(args.T), str(len(coeffs)), _ff(lhs.value), _ff(rhs), _ff(ratio)]
     _emit(report.emit_csv("T,M,lhs,rhs,ratio", [row]))
     return 0
 

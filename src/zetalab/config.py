@@ -40,18 +40,8 @@ class Config:
     smooth_residual_limit: float = 10.0
 
     def __post_init__(self):
-        if self.euler_maclaurin_terms is not None and self.euler_maclaurin_terms < 2:
-            raise DomainError("euler_maclaurin_terms must be >= 2 or auto")
-        if self.bernoulli_order < 1:
-            raise DomainError("bernoulli_order must be >= 1")
-        if not self.target_abs_error > 0:
-            raise DomainError("target_abs_error must be > 0")
-        if self.points_per_panel < 2:
-            raise DomainError("points_per_panel must be >= 2")
-        if not (0 < self.width_scale <= 1):
-            raise DomainError("width_scale must lie in (0, 1]")
-        if self.threads < 1:
-            raise DomainError("threads must be >= 1")
+        self.eval_settings()  # the settings objects validate their own fields
+        self.quadrature_settings()
         if self.divisor_table_size < 1:
             raise DomainError("divisor_table_size must be >= 1")
         if self.afe_residual_limit <= 0 or self.afe2_ratio_limit <= 0:

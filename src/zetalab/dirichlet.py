@@ -106,11 +106,6 @@ class DivisorTable:
         return int(self.d[n])
 
 
-def divisor_sieve(max_n: int) -> DivisorTable:
-    """Exact divisor counts for 1..max_n in O(max_n log max_n) additions."""
-    return DivisorTable(max_n)
-
-
 @dataclass(frozen=True)
 class SumWindow:
     """Integer window (n, n_prime] with n_prime <= 2n (one dyadic block)

@@ -24,18 +24,25 @@ with eps fixed at 0.01 to make the right side a number; and a sixth
 moment probe normalized by T^{5/4}.  Suppressed constants are unknown,
 so all three report values or ratios and never pass/fail.
 
-Error estimates come from one quadrature pass: each panel's Kronrod sum
-is the value and its distance from the embedded Gauss sum the estimate
-(see the quadrature module), plus the rounding level of the integrand,
-floored at 1e-12 relative.  Integration is deterministic for a fixed
-spec, threaded or not.
+Every result (value, error estimate, panels) comes from one
+Gauss-Kronrod pass over prod_i |zeta(sigma_i+it)|^{p_i}, times a weight
+for split and Watt.  The value is the fsum of the panels' Kronrod sums;
+the estimate is the fsum of |K - G| over panels (see the quadrature
+module) plus the integrand's rounding level
+eps t_max (sum_i p_i log N + 2 log M) |I|, floored at 1e-12 (1 + |I|).
+N is the zeta-sum length at 1/2 + i t_max, whose phases t log n carry
+an absolute error of about eps t log N; M is the length of a
+Dirichlet-polynomial weight, 1 without one.  When |K - G| exceeds
+1e-6 (1 + |I|) the panels cannot resolve the integrand (a pole at t = 0
+for sigma = 1, or too few points per panel) and a precision error is
+raised.  Integration is deterministic for a fixed input, threaded or not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -82,7 +89,6 @@ class MomentResult:
     value: float
     error_estimate: float
     panel_count: int
-    spec: MomentSpec
 
     def __post_init__(self):
         if self.value < 0 or self.error_estimate < 0:
@@ -105,58 +111,58 @@ class GrowthFit:
             raise DegenerateFitError("growth fit needs positive values")
 
 
-def _hybrid_integrand(sigma: float, j: int, eval_settings: EvalSettings):
-    """|zeta(1/2+it)|^4 |zeta(sigma+it)|^{2j} as a vectorized callable.
+def _check_height(t_max: float, limit: float):
+    """The desk-scale guard, run before any other input check."""
+    if t_max > limit:
+        raise ResourceLimitError(f"T {t_max:g} beyond the desk-scale limit {limit:g}")
 
-    For j = 0 the sigma factor is never evaluated, so the result is
-    exactly independent of sigma, bit for bit.
-    """
-    if j == 0:
 
-        def f(ts: np.ndarray) -> np.ndarray:
-            rows = zeta_grid_multi([0.5], ts, eval_settings)
-            return np.abs(rows[0]) ** 4
+def _moment(
+    rows: Sequence[tuple[float, int]],
+    t_min: float,
+    t_max: float,
+    quadrature: QuadratureSettings,
+    eval_settings: EvalSettings,
+    weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    weight_terms: int = 1,
+) -> MomentResult:
+    """The moment path of the module docstring: rows = ((sigma_i, p_i), ...)
+    multiply in order, then weight(t); weight_terms is M, 1 if no poly."""
+    if not t_max > t_min:  # empty, or a NaN bound: no panels, as in integrate
+        return MomentResult(0.0, 0.0, 0)
+    sigmas = [sigma for sigma, _ in rows]
 
-    else:
+    def f(ts: np.ndarray) -> np.ndarray:
+        zs = zeta_grid_multi(sigmas, ts, eval_settings)
+        vals = np.abs(zs[0]) ** rows[0][1]
+        for z, (_, power) in zip(zs[1:], rows[1:]):
+            vals = vals * np.abs(z) ** power
+        return vals if weight is None else vals * weight(ts)
 
-        def f(ts: np.ndarray) -> np.ndarray:
-            rows = zeta_grid_multi([0.5, sigma], ts, eval_settings)
-            return np.abs(rows[0]) ** 4 * np.abs(rows[1]) ** (2 * j)
-
-    return f
+    value, panels, quad_error = integrate(f, t_min, t_max, quadrature)
+    scale = 1 + abs(value)
+    if quad_error > _STALL_TOL * scale:
+        raise PrecisionError(
+            f"quadrature stalled on rows {tuple(rows)} over [{t_min}, {t_max}]: "
+            f"value {value!r}, |K - G| {quad_error!r}"
+        )
+    terms = _choose_terms(complex(0.5, t_max), eval_settings)
+    zeta_level = sum(p for _, p in rows) * _EPS * t_max * math.log(terms)
+    poly_level = 2 * _EPS * t_max * math.log(weight_terms)
+    rounding = (zeta_level + poly_level) * abs(value)
+    return MomentResult(value, max(quad_error + rounding, _ERROR_FLOOR * scale), panels)
 
 
 def integrate_moment(
     spec: MomentSpec, eval_settings: EvalSettings = DEFAULT_SETTINGS
 ) -> MomentResult:
-    """Evaluate the moment in one Gauss-Kronrod pass.
-
-    The error estimate is the quadrature's sum of |K - G| over panels
-    plus the integrand's rounding level (4 + 2j) eps t_max log N |I|:
-    the phases t log n of an N-term zeta sum carry an absolute error of
-    about eps t log N, and the integrand raises |zeta| to the power
-    4 + 2j.  It is floored at 1e-12 (1 + |I|).  If |K - G| exceeds
-    1e-6 (1 + |I|), the panels cannot resolve the integrand (a pole at
-    t = 0 for sigma = 1 and j >= 1, or too few points per panel) and a
-    precision error is raised.
-    """
-    if spec.t_max > _MAX_T_MOMENT:
-        raise ResourceLimitError(
-            f"t_max {spec.t_max:g} beyond the desk-scale limit {_MAX_T_MOMENT:g}"
-        )
-    if spec.t_max == spec.t_min:
-        return MomentResult(0.0, 0.0, 0, spec)
-    f = _hybrid_integrand(spec.sigma, spec.j, eval_settings)
-    value, panels, quad_error = integrate(f, spec.t_min, spec.t_max, spec.quadrature)
-    scale = 1 + abs(value)
-    if quad_error > _STALL_TOL * scale:
-        raise PrecisionError(
-            f"quadrature stalled on {spec}: value {value!r}, |K - G| {quad_error!r}"
-        )
-    terms = _choose_terms(complex(0.5, spec.t_max), eval_settings)
-    rounding = (4 + 2 * spec.j) * _EPS * spec.t_max * math.log(terms) * abs(value)
-    error = max(quad_error + rounding, _ERROR_FLOOR * scale)
-    return MomentResult(value, error, panels, spec)
+    """|zeta(1/2+it)|^4 |zeta(sigma+it)|^{2j} over the spec's interval;
+    the rounding term of the estimate is (4 + 2j) eps t_max log N |I|.
+    For j = 0 the sigma row is never evaluated, so the result is
+    exactly independent of sigma, bit for bit."""
+    _check_height(spec.t_max, _MAX_T_MOMENT)
+    rows = [(0.5, 4)] + ([(spec.sigma, 2 * spec.j)] if spec.j else [])
+    return _moment(rows, spec.t_min, spec.t_max, spec.quadrature, eval_settings)
 
 
 def fit_growth(samples: Sequence[tuple[float, float]]) -> GrowthFit:
@@ -239,7 +245,7 @@ def split_i1_i2(
     smoothing: float,
     quadrature: QuadratureSettings = QuadratureSettings(),
     eval_settings: EvalSettings = DEFAULT_SETTINGS,
-) -> tuple[float, float]:
+) -> tuple[MomentResult, MomentResult]:
     """The two pieces the smoothed series splits the hybrid moment into:
 
         I1 = integral_0^T |zeta(1/2+it)|^4
@@ -249,12 +255,10 @@ def split_i1_i2(
 
     with Y = smoothing.  The inner v-integral is read off a cumulative
     fine-grid profile of |zeta(1/2+iv)|, so the outer quadrature costs
-    one subtraction per node.
+    one subtraction per node.  I2's value and estimate both carry the
+    Y^{1-2 sigma} factor.
     """
-    if big_t > _MAX_T_SPLIT:
-        raise ResourceLimitError(
-            f"T {big_t:g} beyond the desk-scale limit {_MAX_T_SPLIT:g}"
-        )
+    _check_height(big_t, _MAX_T_SPLIT)
     if big_t <= 1:
         raise DomainError(f"T must be > 1, got {big_t}")
     if smoothing < 1:
@@ -266,21 +270,20 @@ def split_i1_i2(
     n = np.arange(1, m + 1, dtype=np.float64)
     coeffs = np.exp(-n / smoothing) * n ** (-sigma)
     log_n = np.log(n)
-
-    def integrand_1(ts: np.ndarray) -> np.ndarray:
-        crit = np.abs(zeta_grid_multi([0.5], ts, eval_settings)[0]) ** 4
-        return crit * _dirichlet_poly_sq(ts, log_n, coeffs, -1.0)
-
     profile = _critical_profile(big_t + log_sq, eval_settings)
-
-    def integrand_2(ts: np.ndarray) -> np.ndarray:
-        crit = np.abs(zeta_grid_multi([0.5], ts, eval_settings)[0]) ** 4
-        short_avg = profile(ts + log_sq) - profile(ts - log_sq)
-        return crit * short_avg**2
-
-    i1 = integrate(integrand_1, 0.0, big_t, quadrature)[0]
-    i2 = integrate(integrand_2, 0.0, big_t, quadrature)[0]
-    return i1, smoothing ** (1 - 2 * sigma) * i2
+    crit = [(0.5, 4)]
+    i1 = _moment(
+        crit, 0.0, big_t, quadrature, eval_settings,
+        lambda ts: _dirichlet_poly_sq(ts, log_n, coeffs, -1.0), max(m, 1),
+    )
+    i2 = _moment(
+        crit, 0.0, big_t, quadrature, eval_settings,
+        lambda ts: (profile(ts + log_sq) - profile(ts - log_sq)) ** 2,
+    )
+    factor = smoothing ** (1 - 2 * sigma)
+    return i1, MomentResult(
+        factor * i2.value, factor * i2.error_estimate, i2.panel_count
+    )
 
 
 def watt_ratio(
@@ -289,19 +292,16 @@ def watt_ratio(
     coefficients: Sequence[complex],
     quadrature: QuadratureSettings = QuadratureSettings(),
     eval_settings: EvalSettings = DEFAULT_SETTINGS,
-) -> tuple[float, float, float]:
+) -> tuple[MomentResult, float, float]:
     """Weighted fourth moment against its mean-value comparator.
 
     lhs = integral_0^T |sum_{m <= M} a_m m^{it}|^2 |zeta(1/2+it)|^4 dt,
     rhs = T^{1.01} M (1 + M^2 T^{-1/2}) max|a_m|^2, ratio = lhs/rhs
-    (0 when both vanish).  The 0.01 stands in for an arbitrarily small
-    epsilon; the suppressed constant is unknown, so the ratio is
-    recorded, never asserted.
+    (0 when both vanish; lhs is then an exact zero with no panels).  The
+    0.01 stands in for an arbitrarily small epsilon; the suppressed
+    constant is unknown, so the ratio is recorded, never asserted.
     """
-    if big_t > _MAX_T_SPLIT:
-        raise ResourceLimitError(
-            f"T {big_t:g} beyond the desk-scale limit {_MAX_T_SPLIT:g}"
-        )
+    _check_height(big_t, _MAX_T_SPLIT)
     if big_t < 0:
         raise DomainError(f"T must be >= 0, got {big_t}")
     a = np.asarray(list(coefficients), dtype=np.complex128)
@@ -310,39 +310,30 @@ def watt_ratio(
     if m_length < 1:
         raise DomainError("need at least one coefficient")
     peak = float(np.max(np.abs(a)) ** 2)
-    if big_t == 0:
-        return 0.0, 0.0, 0.0
+    if big_t == 0 or peak == 0:
+        return MomentResult(0.0, 0.0, 0), 0.0, 0.0
     rhs = big_t**1.01 * m_length * (1 + m_length**2 / math.sqrt(big_t)) * peak
-    if peak == 0:
-        return 0.0, rhs, 0.0
     log_m = np.log(np.arange(1, m_length + 1, dtype=np.float64))
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        crit = np.abs(zeta_grid_multi([0.5], ts, eval_settings)[0]) ** 4
-        return _dirichlet_poly_sq(ts, log_m, a, 1.0) * crit
-
-    lhs = integrate(integrand, 0.0, big_t, quadrature)[0]
-    return lhs, rhs, lhs / rhs
+    lhs = _moment(
+        [(0.5, 4)], 0.0, big_t, quadrature, eval_settings,
+        lambda ts: _dirichlet_poly_sq(ts, log_m, a, 1.0), m_length,
+    )
+    return lhs, rhs, lhs.value / rhs
 
 
 def sixth_moment_probe(
     big_t: float,
     quadrature: QuadratureSettings = QuadratureSettings(),
     eval_settings: EvalSettings = DEFAULT_SETTINGS,
-) -> float:
+) -> MomentResult:
     """integral_0^T |zeta(1/2+it)|^6 dt normalized by T^{5/4}, the shape
-    of the sharpest known sixth-moment bound; a trend probe only."""
-    if big_t > _MAX_T_SPLIT:
-        raise ResourceLimitError(
-            f"T {big_t:g} beyond the desk-scale limit {_MAX_T_SPLIT:g}"
-        )
+    of the sharpest known sixth-moment bound; a trend probe only.  The
+    estimate carries the same normalization."""
+    _check_height(big_t, _MAX_T_SPLIT)
     if big_t < 0:
         raise DomainError(f"T must be >= 0, got {big_t}")
+    res = _moment([(0.5, 6)], 0.0, big_t, quadrature, eval_settings)
     if big_t == 0:
-        return 0.0
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        return np.abs(zeta_grid_multi([0.5], ts, eval_settings)[0]) ** 6
-
-    value = integrate(integrand, 0.0, big_t, quadrature)[0]
-    return value / big_t**1.25
+        return res
+    norm = big_t**1.25
+    return MomentResult(res.value / norm, res.error_estimate / norm, res.panel_count)

@@ -18,7 +18,6 @@ Nonlinear input (k*l, k*k, powers) is rejected with a position.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -326,9 +325,3 @@ def optimize(
         raise EmptyResultError("no pair satisfies the constraint and objective domain")
     return best_pair, best[0]
 
-
-def shuffled(pairs: Iterable[ExponentPair], seed: int) -> list[ExponentPair]:
-    """Deterministically shuffled copy, for permutation-invariance checks."""
-    out = list(pairs)
-    random.Random(seed).shuffle(out)
-    return out

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -278,7 +278,3 @@ def enumerate_pairs(seeds: PairSet | Iterable[ExponentPair], max_word_length: in
         frontier = sorted(next_frontier, key=ExponentPair.key)
     return out
 
-
-def strip_word(p: ExponentPair) -> ExponentPair:
-    """Copy of p with an empty derivation word (used when re-seeding)."""
-    return replace(p, word="")

@@ -39,6 +39,7 @@ from .errors import DomainError, ResourceLimitError
 
 _CHUNK = 256  # panels per work unit; fixed so threading cannot repartition
 _MAX_PANELS = 5_000_000
+_CAP_END = math.e**2 - 2  # panel_width sits at its 0.25 cap below this t
 
 
 @dataclass(frozen=True)
@@ -70,20 +71,36 @@ def panel_width(t: float, scale: float = 1.0) -> float:
     return scale * min(0.25, 1 / (2 * math.log(2 + t)))
 
 
+def _panel_integral(t_min: float, t_max: float, scale: float = 1.0) -> float:
+    """integral of dt / panel_width(t) over [t_min, t_max]: 4 / scale per
+    unit of t below e^2 - 2, where the 0.25 cap binds, and antiderivative
+    (2 / scale)(2 + t)(log(2 + t) - 1) above.  The width never grows with
+    t, so every full greedy panel covers at least one unit of it, and the
+    panel count is at most the integral plus 1."""
+
+    def antiderivative(t: float) -> float:
+        if t <= _CAP_END:
+            return 4 * t
+        return 4 * _CAP_END + 2 * ((2 + t) * (math.log(2 + t) - 1) - math.e**2)
+
+    return (antiderivative(t_max) - antiderivative(t_min)) / scale
+
+
 def panel_edges(t_min: float, t_max: float, scale: float = 1.0) -> np.ndarray:
-    """Greedy partition of [t_min, t_max] by the width rule."""
+    """Greedy partition of [t_min, t_max] by the width rule; refused up
+    front when _panel_integral bounds the count above _MAX_PANELS."""
     if t_max < t_min:
         raise DomainError(f"need t_min <= t_max, got [{t_min}, {t_max}]")
+    if _panel_integral(t_min, t_max, scale) + 1 > _MAX_PANELS:
+        raise ResourceLimitError(
+            f"panel partition of [{t_min}, {t_max}] at scale {scale} "
+            f"exceeds {_MAX_PANELS} panels"
+        )
     edges = [t_min]
     t = t_min
     while t < t_max - 1e-12:
         t = min(t + panel_width(t, scale), t_max)
         edges.append(t)
-        if len(edges) > _MAX_PANELS:
-            raise ResourceLimitError(
-                f"panel partition of [{t_min}, {t_max}] at scale {scale} "
-                f"exceeds {_MAX_PANELS} panels"
-            )
     return np.array(edges, dtype=np.float64)
 
 

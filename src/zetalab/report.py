@@ -25,11 +25,8 @@ from . import thresholds
 from .config import Config
 from .dirichlet import (
     DivisorTable,
-    SumWindow,
     divisor_phase_sum_direct,
     divisor_phase_sum_hyperbola,
-    phase_sum,
-    vdc_bound,
 )
 from .errors import DomainError
 from .moments import MomentSpec, integrate_moment, sixth_moment_probe, watt_ratio
@@ -47,7 +44,6 @@ from .zeta import (
 ZETA_CSV_HEADER = "sigma,t,x_or_Y,value_re,value_im,residual,bound,ratio"
 PAIR_CSV_HEADER = "k_num,k_den,l_num,l_den,word,epsilon"
 MOMENT_CSV_HEADER = "sigma,j,T,value,error_estimate,panels"
-DIRICHLET_CSV_HEADER = "u,t,T,k_num,k_den,l_num,l_den,abs_sum,bound,ratio"
 
 
 def fmt_float(x: float) -> str:
@@ -237,38 +233,6 @@ def smooth_scan_rows(
     return rows, residuals
 
 
-def dirichlet_scan_rows(
-    windows: Sequence[SumWindow],
-    pair: pairs_mod.ExponentPair,
-    big_t: float,
-) -> list[list[str]]:
-    """Pure-phase window sums against their exponent-pair comparator.
-
-    One row per window: the window top as u, |S(N,N')|, the comparator
-    T^k N^(l-k), and their ratio.  Ratios are reported, never asserted;
-    the suppressed constants are unknown.
-    """
-    rows = []
-    for w in windows:
-        abs_sum = abs(phase_sum(w))
-        bound = vdc_bound(w, pair, big_t)
-        rows.append(
-            [
-                str(w.n_prime),
-                fmt_float(w.t),
-                fmt_float(big_t),
-                str(pair.k.numerator),
-                str(pair.k.denominator),
-                str(pair.l.numerator),
-                str(pair.l.denominator),
-                fmt_float(abs_sum),
-                fmt_float(bound),
-                fmt_float(abs_sum / bound),
-            ]
-        )
-    return rows
-
-
 def _hyperbola_spot_max(us: Sequence[int], ts: Sequence[float]) -> float:
     table = DivisorTable(max(us))
     worst = 0.0
@@ -383,8 +347,14 @@ def regression_data(config: Config) -> dict:
                 "error_estimate": moment.error_estimate,
                 "panels": moment.panel_count,
             },
-            "sixth_probe_T256": probe,
-            "watt_T200_M8": {"lhs": lhs, "rhs": rhs, "ratio": ratio},
+            "sixth_probe_T256": probe.value,
+            "sixth_probe_T256_error_estimate": probe.error_estimate,
+            "watt_T200_M8": {
+                "lhs": lhs.value,
+                "lhs_error_estimate": lhs.error_estimate,
+                "rhs": rhs,
+                "ratio": ratio,
+            },
         },
     }
 
@@ -436,18 +406,15 @@ def render_report(data: dict) -> str:
             f"panels {mo['spot']['panels']}"
         ),
         f"  sixth-moment probe at T 256: {fmt_float(mo['sixth_probe_T256'])}",
+        f"  sixth-moment probe error estimate: {fmt_float(mo['sixth_probe_T256_error_estimate'])}",
         (
             f"  watt ratio T 200, M 8, a_m = m^(-3/4): lhs {fmt_float(mo['watt_T200_M8']['lhs'])}, "
             f"rhs {fmt_float(mo['watt_T200_M8']['rhs'])}, "
             f"ratio {fmt_float(mo['watt_T200_M8']['ratio'])}"
         ),
+        f"  watt lhs error estimate: {fmt_float(mo['watt_T200_M8']['lhs_error_estimate'])}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def regression_report(config: Config) -> str:
-    """The stdout form of the regression table."""
-    return render_report(regression_data(config))
 
 
 def write_regression_report(data: dict, out_dir: str) -> list[str]:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from zetalab import (
+    DivisorTable,
     DomainError,
     ResourceLimitError,
     SEED_PAIRS,
     SumWindow,
     divisor_phase_sum_direct,
     divisor_phase_sum_hyperbola,
-    divisor_sieve,
     partial_summation_window,
     phase_sum,
     s1_s2_bound_check,
@@ -25,7 +25,7 @@ from fractions import Fraction as F
 
 @pytest.fixture(scope="module")
 def table():
-    return divisor_sieve(20000)
+    return DivisorTable(20000)
 
 
 class TestDivisorSieve:
@@ -62,9 +62,9 @@ class TestDivisorSieve:
         with pytest.raises(DomainError):
             table[20001]
         with pytest.raises(DomainError):
-            divisor_sieve(0)
+            DivisorTable(0)
         with pytest.raises(ResourceLimitError):
-            divisor_sieve(10**10)
+            DivisorTable(10**10)
 
 
 class TestSumWindow:
@@ -161,7 +161,7 @@ class TestDivisorPhaseSums:
         # identity is exact over the integers; only rounding noise remains
         u = 10**6
         t = 13.7
-        table = divisor_sieve(u)
+        table = DivisorTable(u)
         direct = divisor_phase_sum_direct(u, t, table)
         hyper = divisor_phase_sum_hyperbola(u, t)
         assert abs(hyper - direct) <= 1e-9 * (1 + abs(direct))

@@ -9,6 +9,7 @@ from zetalab import (
     DegenerateFitError,
     DomainError,
     GrowthFit,
+    MomentResult,
     MomentSpec,
     PrecisionError,
     QuadratureSettings,
@@ -185,13 +186,13 @@ class TestSplit:
         # never sees sigma, so I2 must agree bitwise across sigma.
         _, i2_a = split_i1_i2(40.0, 0.6, 1.0)
         _, i2_b = split_i1_i2(40.0, 0.8, 1.0)
-        assert i2_a == i2_b
+        assert i2_a == i2_b  # value, estimate and panels
 
     def test_recorded_run_is_finite_positive(self):
         big_t = 80.0
         i1, i2 = split_i1_i2(big_t, 5 / 6, big_t**0.375)
-        assert i1 > 0 and i2 > 0
-        assert math.isfinite(i1) and math.isfinite(i2)
+        assert i1.value > 0 and i2.value > 0
+        assert math.isfinite(i1.value) and math.isfinite(i2.value)
 
     @pytest.mark.parametrize(
         "args",
@@ -209,22 +210,25 @@ class TestSplit:
     def test_desk_scale_limit(self):
         with pytest.raises(ResourceLimitError):
             split_i1_i2(5000.0, 0.75, 8.0)
+        with pytest.raises(ResourceLimitError):  # the guard precedes the sigma check
+            split_i1_i2(5000.0, 0.5, 8.0)
 
 
 class TestWatt:
     def test_zero_t(self):
-        assert watt_ratio(0.0, 2, [1.0, 1.0]) == (0.0, 0.0, 0.0)
+        assert watt_ratio(0.0, 2, [1.0, 1.0]) == (MomentResult(0.0, 0.0, 0), 0.0, 0.0)
 
     def test_zero_coefficients(self):
         lhs, rhs, ratio = watt_ratio(50.0, 3, [0.0, 0.0, 0.0])
-        assert lhs == 0.0 and rhs == 0.0 and ratio == 0.0
+        assert lhs.value == 0.0 and rhs == 0.0 and ratio == 0.0
 
     def test_single_unit_coefficient_matches_plain_fourth_moment(self):
         # |1 * 1^{it}|^2 = 1 exactly, so the weighted integral collapses
-        # to the plain fourth moment over the same partition, bit for bit.
+        # to the plain fourth moment over the same partition, bit for bit;
+        # with M = 1 the estimates agree too.
         lhs, _, _ = watt_ratio(60.0, 1, [1.0])
         plain = integrate_moment(MomentSpec(0.5, 0, 0.0, 60.0))
-        assert lhs == plain.value
+        assert lhs == plain
 
     def test_rhs_formula(self):
         _, rhs, _ = watt_ratio(100.0, 2, [0.0, 3.0])
@@ -252,15 +256,17 @@ class TestWatt:
     def test_desk_scale_limit(self):
         with pytest.raises(ResourceLimitError):
             watt_ratio(5000.0, 1, [1.0])
+        with pytest.raises(ResourceLimitError):  # the guard precedes the zero-peak return
+            watt_ratio(5000.0, 3, [0.0, 0.0, 0.0])
 
 
 class TestSixthMomentProbe:
     def test_zero_t(self):
-        assert sixth_moment_probe(0.0) == 0.0
+        assert sixth_moment_probe(0.0) == MomentResult(0.0, 0.0, 0)
 
     def test_trend_pair_recorded(self):
-        lo = sixth_moment_probe(64.0)
-        hi = sixth_moment_probe(128.0)
+        lo = sixth_moment_probe(64.0).value
+        hi = sixth_moment_probe(128.0).value
         assert lo > 0 and hi > 0
         assert math.isfinite(hi / lo)
 
@@ -269,3 +275,75 @@ class TestSixthMomentProbe:
             sixth_moment_probe(-1.0)
         with pytest.raises(ResourceLimitError):
             sixth_moment_probe(5000.0)
+
+
+def _power_coeffs(m_length: int, exponent: float) -> list[float]:
+    return [m**exponent for m in range(1, m_length + 1)]
+
+
+# The inputs of the CLI tests, the regression report and the benchmark's
+# lab-session workload.  Each call maps a quadrature rule to one result.
+ONE_PATH_CASES = {
+    **{
+        f"split-I{k + 1}-T{big_t:g}-s{sigma}": (
+            lambda q, big_t=big_t, sigma=sigma, k=k: split_i1_i2(
+                big_t, sigma, big_t**0.375, q
+            )[k]
+        )
+        for big_t, sigma in [(40.0, 0.75), (96.0, 0.6), (96.0, 0.7), (96.0, 0.8)]
+        for k in (0, 1)
+    },
+    **{
+        f"watt-T{big_t:g}-M{m}-e{e}": (
+            lambda q, big_t=big_t, m=m, e=e: watt_ratio(
+                big_t, m, _power_coeffs(m, e), q
+            )[0]
+        )
+        for big_t, m, e in [
+            (30.0, 4, -0.5),
+            (150.0, 4, -0.5),
+            (150.0, 8, -0.75),
+            (150.0, 16, -0.5),
+            (200.0, 8, -0.75),
+        ]
+    },
+    **{
+        f"sixth-T{big_t:g}": (lambda q, big_t=big_t: sixth_moment_probe(big_t, q))
+        for big_t in (64.0, 128.0, 256.0)
+    },
+}
+
+
+class TestOnePath:
+    @pytest.mark.parametrize("case", sorted(ONE_PATH_CASES))
+    def test_half_width_within_estimate(self, case):
+        base = ONE_PATH_CASES[case](QuadratureSettings())
+        finer = ONE_PATH_CASES[case](QuadratureSettings().halved())
+        assert base.panel_count > 0
+        assert abs(finer.value - base.value) <= base.error_estimate
+
+    @pytest.mark.parametrize(
+        "case", ["split-I1-T40-s0.75", "watt-T30-M4-e-0.5", "sixth-T64"]
+    )
+    def test_rough_rule_raises_precision_error(self, case):
+        # two-point panels at the 0.25 width cap cannot track |zeta|^4 or
+        # |zeta|^6 near the low zeros, as in test_stall_raises_precision_error
+        with pytest.raises(PrecisionError):
+            ONE_PATH_CASES[case](QuadratureSettings(points_per_panel=2))
+
+    def test_split_i2_estimate_covers_the_rule_change(self):
+        # I2 of `moment split --T 96` moved 4.45e-9 relative when the panel
+        # rule went from G16 to K21; its estimate must cover that move.
+        _, i2 = split_i1_i2(96.0, 0.75, 96.0**0.375)
+        assert i2.error_estimate >= 4.45e-9 * i2.value
+
+    def test_rounding_term_counts_polynomial_length(self):
+        # the same |zeta|^4 integral with an M-term unit-modulus polynomial
+        # weight adds 2 eps T log M |I| to the rounding term
+        big_t, m = 300.0, 16
+        plain = watt_ratio(big_t, 1, [1.0])[0]
+        weighted = watt_ratio(big_t, m, [1.0] + [0.0] * (m - 1))[0]
+        assert weighted.value == plain.value
+        extra = weighted.error_estimate - plain.error_estimate
+        expected = 2 * 2.0**-52 * big_t * math.log(m) * plain.value
+        assert extra == pytest.approx(expected, rel=1e-9)

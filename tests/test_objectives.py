@@ -1,5 +1,6 @@
 """Parsing and exact minimization of linear-fractional objectives."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,9 +17,15 @@ from zetalab import (
     parse_constraint,
     parse_objective,
 )
-from zetalab.objectives import shuffled
 
 H32 = SEED_PAIRS["huxley32"]
+
+
+def shuffled(pairs, seed: int) -> list[ExponentPair]:
+    """Deterministically shuffled copy, for permutation-invariance checks."""
+    out = list(pairs)
+    random.Random(seed).shuffle(out)
+    return out
 
 
 class TestParseObjective:

@@ -16,7 +16,6 @@ from zetalab import (
     enumerate_pairs,
     q_family_pair,
 )
-from zetalab.pairs import strip_word
 
 TRIVIAL = SEED_PAIRS["trivial"]
 
@@ -196,12 +195,6 @@ class TestEnumeration:
     def test_closure_invariants_hold(self):
         for p in enumerate_pairs(list(SEED_PAIRS.values()), 6):
             assert 0 <= p.k <= F(1, 2) <= p.l <= 1 and p.k <= p.l
-
-
-def test_strip_word():
-    p = apply_word("AAB", TRIVIAL)
-    bare = strip_word(p)
-    assert bare.word == "" and bare.key() == p.key()
 
 
 def test_word_reproduces_pair():

@@ -9,7 +9,7 @@ import pytest
 
 from zetalab import DomainError, QuadratureSettings, integrate, panel_edges, panel_width
 from zetalab.errors import ResourceLimitError
-from zetalab.quadrature import _kronrod_rule
+from zetalab.quadrature import _kronrod_rule, _panel_integral
 
 EPS = 2.0**-52
 
@@ -60,6 +60,26 @@ class TestPanelRule:
     def test_panel_budget_guard(self):
         with pytest.raises(ResourceLimitError):
             panel_edges(0.0, 10.0, 1e-6)
+
+    @pytest.mark.parametrize(
+        "t_min, t_max, scale",
+        [
+            (0.0, 100.0, 1.0),
+            (0.0, 1e4, 1.0),
+            (0.0, 5.0, 1.0),
+            (2.2, 9.1, 0.7),
+            (5.3, 5.5, 1.0),
+            (100.0, 2000.0, 0.25),
+            (1000.0, 1014.0, 0.5),
+            (4750.0, 4752.375, 1.0),
+        ],
+    )
+    def test_panel_integral_counts_the_partition(self, t_min, t_max, scale):
+        # the up-front budget check reads this integral in place of the count
+        count = panel_edges(t_min, t_max, scale).size - 1
+        integral = _panel_integral(t_min, t_max, scale)
+        assert count <= integral + 1
+        assert abs(count - integral) <= 1
 
 
 class TestSettings:

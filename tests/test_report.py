@@ -5,14 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from zetalab import Config, DomainError, SumWindow
-from zetalab.pairs import SEED_PAIRS
+from zetalab import Config, DomainError
 from zetalab.report import (
-    DIRICHLET_CSV_HEADER,
     afe2_grid,
     afe2_scan_rows,
     afe_scan_rows,
-    dirichlet_scan_rows,
     emit_csv,
     fe_check_grid,
     fe_check_rows,
@@ -80,16 +77,6 @@ class TestScans:
         assert len(rows) == 3
         assert residuals[0] > residuals[1] > residuals[2]
 
-    def test_dirichlet_rows_match_header(self):
-        windows = [SumWindow(100, 150, 300.0), SumWindow(150, 280, 300.0)]
-        rows = dirichlet_scan_rows(windows, SEED_PAIRS["huxley32"], 200.0)
-        assert len(rows) == 2
-        assert all(len(row) == len(DIRICHLET_CSV_HEADER.split(",")) for row in rows)
-        assert rows[0][0] == "150"
-        assert float(rows[0][9]) == pytest.approx(
-            float(rows[0][7]) / float(rows[0][8])
-        )
-
 
 @pytest.fixture(scope="module")
 def data():
@@ -111,6 +98,16 @@ class TestRegressionReport:
         assert props["fe_residual_max_coarse"] <= 1e-8
         assert props["hyperbola_max_relative"] <= 1e-9
         assert props["em_stability_delta"] <= 1e-9
+
+    def test_probe_estimates_reported(self, data):
+        mo = data["moments"]
+        sixth, watt = mo["sixth_probe_T256"], mo["watt_T200_M8"]
+        assert type(sixth) is float and type(watt["lhs"]) is float
+        assert 0 < mo["sixth_probe_T256_error_estimate"] <= 1e-6 * sixth
+        assert 0 < watt["lhs_error_estimate"] <= 1e-6 * watt["lhs"]
+        text = render_report(data)
+        assert "sixth-moment probe error estimate" in text
+        assert "watt lhs error estimate" in text
 
     def test_render_mentions_key_values(self, data):
         text = render_report(data)

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.special import loggamma
 
 from zetalab import (
+    DivisorTable,
     DomainError,
     EvalSettings,
     PoleError,
@@ -24,7 +25,6 @@ from zetalab import (
     afe_zeta_squared,
     chi,
     chi_grid,
-    divisor_sieve,
     functional_equation_residual,
     smoothed_sum,
     zeta,
@@ -383,7 +383,7 @@ class TestSmoothedSum:
 
 class TestAfeZetaSquared:
     def setup_method(self):
-        self.table = divisor_sieve(3000)
+        self.table = DivisorTable(3000)
 
     def test_balanced_point(self):
         s = 0.75 + 50j
@@ -425,6 +425,6 @@ class TestAfeZetaSquared:
             afe_zeta_squared(s, x, self.table)
 
     def test_table_too_small(self):
-        small = divisor_sieve(10)
+        small = DivisorTable(10)
         with pytest.raises(DomainError):
             afe_zeta_squared(0.5 + 200j, 2000.0, small)
