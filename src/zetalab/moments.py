@@ -271,15 +271,16 @@ def split_i1_i2(
     coeffs = np.exp(-n / smoothing) * n ** (-sigma)
     log_n = np.log(n)
     profile = _critical_profile(big_t + log_sq, eval_settings)
+
+    def poly(ts: np.ndarray) -> np.ndarray:
+        return _dirichlet_poly_sq(ts, log_n, coeffs, -1.0)
+
+    def short_average(ts: np.ndarray) -> np.ndarray:
+        return (profile(ts + log_sq) - profile(ts - log_sq)) ** 2
+
     crit = [(0.5, 4)]
-    i1 = _moment(
-        crit, 0.0, big_t, quadrature, eval_settings,
-        lambda ts: _dirichlet_poly_sq(ts, log_n, coeffs, -1.0), max(m, 1),
-    )
-    i2 = _moment(
-        crit, 0.0, big_t, quadrature, eval_settings,
-        lambda ts: (profile(ts + log_sq) - profile(ts - log_sq)) ** 2,
-    )
+    i1 = _moment(crit, 0.0, big_t, quadrature, eval_settings, poly, max(m, 1))
+    i2 = _moment(crit, 0.0, big_t, quadrature, eval_settings, short_average)
     factor = smoothing ** (1 - 2 * sigma)
     return i1, MomentResult(
         factor * i2.value, factor * i2.error_estimate, i2.panel_count
@@ -314,10 +315,11 @@ def watt_ratio(
         return MomentResult(0.0, 0.0, 0), 0.0, 0.0
     rhs = big_t**1.01 * m_length * (1 + m_length**2 / math.sqrt(big_t)) * peak
     log_m = np.log(np.arange(1, m_length + 1, dtype=np.float64))
-    lhs = _moment(
-        [(0.5, 4)], 0.0, big_t, quadrature, eval_settings,
-        lambda ts: _dirichlet_poly_sq(ts, log_m, a, 1.0), m_length,
-    )
+
+    def poly(ts: np.ndarray) -> np.ndarray:
+        return _dirichlet_poly_sq(ts, log_m, a, 1.0)
+
+    lhs = _moment([(0.5, 4)], 0.0, big_t, quadrature, eval_settings, poly, m_length)
     return lhs, rhs, lhs.value / rhs
 
 

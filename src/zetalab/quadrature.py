@@ -87,20 +87,24 @@ def _panel_integral(t_min: float, t_max: float, scale: float = 1.0) -> float:
 
 
 def panel_edges(t_min: float, t_max: float, scale: float = 1.0) -> np.ndarray:
-    """Greedy partition of [t_min, t_max] by the width rule; refused up
-    front when _panel_integral bounds the count above _MAX_PANELS."""
+    """Greedy partition of [t_min, t_max] by the width rule.  Refused up
+    front when _panel_integral bounds the count above _MAX_PANELS, and in
+    the loop when rounding cuts the steps short of the widths the bound
+    assumes: a width under half an ulp of t leaves t + width == t."""
     if t_max < t_min:
         raise DomainError(f"need t_min <= t_max, got [{t_min}, {t_max}]")
-    if _panel_integral(t_min, t_max, scale) + 1 > _MAX_PANELS:
+    refused = _panel_integral(t_min, t_max, scale) + 1 > _MAX_PANELS
+    edges = [t_min]
+    t = t_min
+    while not refused and t < t_max - 1e-12:
+        t = min(t + panel_width(t, scale), t_max)
+        refused = t == edges[-1] or len(edges) >= _MAX_PANELS
+        edges.append(t)
+    if refused:
         raise ResourceLimitError(
             f"panel partition of [{t_min}, {t_max}] at scale {scale} "
             f"exceeds {_MAX_PANELS} panels"
         )
-    edges = [t_min]
-    t = t_min
-    while t < t_max - 1e-12:
-        t = min(t + panel_width(t, scale), t_max)
-        edges.append(t)
     return np.array(edges, dtype=np.float64)
 
 

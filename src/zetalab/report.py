@@ -14,6 +14,7 @@ import cmath
 import json
 import math
 import os
+from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -286,14 +287,8 @@ def regression_data(config: Config) -> dict:
     )
     s_stab = complex(0.75, 50.0)
     auto = zeta(s_stab, es)
-    doubled = zeta(
-        s_stab,
-        EvalSettings(
-            euler_maclaurin_terms=2 * _choose_terms(s_stab, es),
-            bernoulli_order=es.bernoulli_order,
-            target_abs_error=es.target_abs_error,
-        ),
-    )
+    doubled_terms = 2 * _choose_terms(s_stab, es)
+    doubled = zeta(s_stab, replace(es, euler_maclaurin_terms=doubled_terms))
     em_delta = abs(auto - doubled)
 
     moment = integrate_moment(MomentSpec(0.75, 1, 0.0, 100.0, qs), es)

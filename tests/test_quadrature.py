@@ -63,6 +63,20 @@ class TestPanelRule:
 
     @pytest.mark.parametrize(
         "t_min, t_max, scale",
+        [(4000.0, 4000.000000001, 1e-12), (1e15, 1e15 + 1, 1.0)],
+    )
+    def test_width_under_half_ulp_is_refused(self, t_min, t_max, scale):
+        # t + width rounds back to t, so the greedy loop cannot advance,
+        # while the closed-form count stays under the budget
+        assert t_min + panel_width(t_min, scale) == t_min
+        assert _panel_integral(t_min, t_max, scale) + 1 < 5_000_000
+        with pytest.raises(ResourceLimitError):
+            panel_edges(t_min, t_max, scale)
+        with pytest.raises(ResourceLimitError):
+            integrate(np.cos, t_min, t_max, QuadratureSettings(width_scale=scale))
+
+    @pytest.mark.parametrize(
+        "t_min, t_max, scale",
         [
             (0.0, 100.0, 1.0),
             (0.0, 1e4, 1.0),
