@@ -26,10 +26,30 @@ This finite Abel identity is exact for every weight and either sign of
 the power in phi, and the implementation asserts it against the direct
 sum on every call.
 
-All reductions are compensated: plain sums use math.fsum (exactly
-rounded); cumulative prefixes use blockwise cumsum with exactly-rounded
-carries, so prefix errors stay near one ulp of the running value even
-over 10^6 terms.
+All reductions are compensated.  Plain sums are exactly rounded: bit
+for bit what math.fsum returns on each part, from a vectorized error-free
+extraction (below).  Cumulative prefixes use blockwise cumsum with
+exactly-rounded carries, so prefix errors stay near one ulp of the
+running value even over 10^6 terms.
+
+The exact sum splits every part x_i at a power of two sigma above
+max |x_i| (Rump, Ogita and Oishi, "Accurate floating-point summation,
+part I", SIAM J. Sci. Comput. 31 (2008), ExtractVector):
+q_i = (sigma + x_i) - sigma holds the high bits of x_i, x_i - q_i the
+rest, and both are exact.  Each q_i is a multiple of u = ulp(sigma)/2
+with |q_i| <= |x_i| + u.  With sigma = 2^g 2^E, max |x_i| < 2^E and
+2^g > k for k terms, every partial sum of the q_i is a multiple of u
+below sigma = 2^53 u while k (k + 1) < 2^53, so numpy sums them exactly
+in any order.  Repeating on the rest, which is at most u, leaves after a
+few rounds (each removes 53 - g bits of range) a handful of exact
+partial sums, and fsum of those is the correctly rounded total: the
+value fsum gives on the terms themselves.  Sums of under 512 terms
+(where fsum is as fast) or over 2^26, non-finite terms and terms of
+size 2^900 or more go to fsum unchanged, so its overflow and NaN
+behaviour stay as they are; so do exact zeros, whose sign fsum decides.
+
+The divisor sums at one t share one phase row n^{it} and its prefix
+sums: a one-entry cache keyed on the bits of t (_phase_row).
 """
 
 from __future__ import annotations
@@ -45,32 +65,85 @@ from .pairs import ExponentPair
 
 _MAX_TABLE = 200_000_000  # int32 entries, ~800 MB; refuse beyond this
 _BLOCK = 8192
+_EXACT_MIN = 512  # terms; shorter sums go to fsum, which is as fast there
+_EXACT_MAX = 2**26  # terms; the extraction below is exact while k (k + 1) < 2^53
+_EXACT_LIMIT = 2.0**900  # parts this large go to fsum, which raises on overflow
+# (bits of t, n^{it} for n <= size, its prefix sums); see _phase_row
+_phase_cache = ("", np.empty(0, dtype=np.complex128), np.empty(0, dtype=np.complex128))
+
+
+def _fsum_complex(terms: np.ndarray) -> complex:
+    """Exactly rounded sum of a complex array: bit for bit
+    complex(fsum(terms.real), fsum(terms.imag)), by the exact sum of the
+    module docstring."""
+    parts = np.ascontiguousarray(terms, dtype=np.complex128).view(np.float64)
+    peak = float(np.abs(parts).max()) if _EXACT_MIN <= terms.size <= _EXACT_MAX else 0.0
+    if not 0 < peak < _EXACT_LIMIT:
+        return complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))
+    grow = terms.size.bit_length()
+    re: list[float] = []
+    im: list[float] = []
+    rest = parts
+    while peak:
+        sigma = math.ldexp(1.0, math.frexp(peak)[1] + grow)
+        high = rest + sigma
+        high -= sigma
+        re.append(float(high[0::2].sum()))
+        im.append(float(high[1::2].sum()))
+        rest = rest - high
+        peak = float(np.abs(rest, out=high).max())
+    return complex(
+        fsum(re) or fsum(terms.real.tolist()), fsum(im) or fsum(terms.imag.tolist())
+    )
 
 
 def _compensated_cumsum(terms: np.ndarray) -> np.ndarray:
     """Cumulative sums of a complex array, blockwise: within each block a
-    plain cumsum, between blocks an exactly-rounded carry via fsum.
+    plain cumsum, between blocks an exactly-rounded carry, the fsum of
+    the exactly rounded sums of the earlier blocks.
 
-    A block's own fsum is taken only when a later block carries it, and
-    fsum reads Python floats (``tolist``), not boxed numpy scalars.
+    Only the blocks a later block carries are summed, so the value at
+    index i reads terms[: i + 1] and the complete blocks before it: a
+    longer array has the shorter one's prefix sums as its head.
     """
     out = np.empty(terms.size, dtype=np.complex128)
-    block_re: list[float] = []
-    block_im: list[float] = []
-    for lo in range(0, terms.size, _BLOCK):
-        hi = min(lo + _BLOCK, terms.size)
-        seg = terms[lo:hi]
-        carry = complex(fsum(block_re), fsum(block_im))
-        out[lo:hi] = np.cumsum(seg) + carry
-        if hi < terms.size:
-            block_re.append(fsum(seg.real.tolist()))
-            block_im.append(fsum(seg.imag.tolist()))
+    last = (terms.size - 1) // _BLOCK * _BLOCK
+    sums = [_fsum_complex(terms[lo : lo + _BLOCK]) for lo in range(0, last, _BLOCK)]
+    for j, lo in enumerate(range(0, terms.size, _BLOCK)):
+        carry = complex(fsum(s.real for s in sums[:j]), fsum(s.imag for s in sums[:j]))
+        out[lo : lo + _BLOCK] = np.cumsum(terms[lo : lo + _BLOCK]) + carry
     return out
 
 
-def _fsum_complex(terms: np.ndarray) -> complex:
-    """Exactly-rounded sum of a complex array, each part by fsum."""
-    return complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))
+def _phase_row(t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """n^{it} for 1 <= n <= m and its prefix sums (prefix[v-1] = P(v)),
+    as read-only views of a one-entry cache.
+
+    The entry is keyed on the bits of t, so no two floats share it, not
+    even 0.0 and -0.0, and it is replaced as one tuple.  A longer request
+    for the same t grows it at least twofold, so ascending u costs
+    amortized O(u).  Cold and warm values are identical: log and exp act
+    elementwise, and _compensated_cumsum's prefix of a longer array is
+    the prefix of the shorter one.
+    """
+    global _phase_cache
+    key = float(t).hex()
+    held, row, prefix = _phase_cache
+    if held != key or row.size < m:
+        size = max(m, 2 * row.size) if held == key else m
+        row = np.exp(1j * t * np.log(np.arange(1, size + 1, dtype=np.float64)))
+        prefix = _compensated_cumsum(row)
+        row.flags.writeable = prefix.flags.writeable = False
+        _phase_cache = (key, row, prefix)
+    return row[:m], prefix[:m]
+
+
+def _hyperbola_legs(m: int, t: float) -> tuple[complex, complex]:
+    """S1 = sum_{k <= sqrt(m)} k^{it} P(floor(m/k)) and S2 = P(floor(sqrt(m)))."""
+    root = math.isqrt(m)
+    row, prefix = _phase_row(t, m)
+    ks = np.arange(1, root + 1)
+    return _fsum_complex(row[:root] * prefix[m // ks - 1]), prefix[root - 1]
 
 
 class DivisorTable:
@@ -151,8 +224,8 @@ def divisor_phase_sum_direct(u: float, t: float, table: DivisorTable) -> complex
     if m < 1:
         return 0j
     table.require(m)
-    n = np.arange(1, m + 1, dtype=np.float64)
-    return _fsum_complex(table.d[1 : m + 1] * np.exp(1j * t * np.log(n)))
+    row, _ = _phase_row(t, m)
+    return _fsum_complex(table.d[1 : m + 1] * row)
 
 
 def divisor_phase_sum_hyperbola(u: float, t: float) -> complex:
@@ -164,13 +237,8 @@ def divisor_phase_sum_hyperbola(u: float, t: float) -> complex:
     m = int(math.floor(u))
     if m < 1:
         return 0j
-    root = math.isqrt(m)
-    n = np.arange(1, m + 1, dtype=np.float64)
-    prefix = _compensated_cumsum(np.exp(1j * t * np.log(n)))  # prefix[v-1] = P(v)
-    ms = np.arange(1, root + 1)
-    cross = np.exp(1j * t * np.log(ms.astype(np.float64))) * prefix[m // ms - 1]
-    corner = prefix[root - 1]
-    return 2 * _fsum_complex(cross) - corner * corner
+    s1, s2 = _hyperbola_legs(m, t)
+    return 2 * s1 - s2 * s2
 
 
 def partial_summation_window(
@@ -223,14 +291,7 @@ def s1_s2_bound_check(
         raise DomainError(f"T must be > 1, got {big_t}")
     if abs(t) > 2 * big_t:
         raise DomainError(f"|t| = {abs(t):g} exceeds 2T = {2 * big_t:g}")
-    m = int(math.floor(u))
-    root = math.isqrt(m)
-    n = np.arange(1, m + 1, dtype=np.float64)
-    prefix = _compensated_cumsum(np.exp(1j * t * np.log(n)))
-    ms = np.arange(1, root + 1)
-    legs = np.exp(1j * t * np.log(ms.astype(np.float64))) * prefix[m // ms - 1]
-    s1 = _fsum_complex(legs)
-    s2 = prefix[root - 1]
+    s1, s2 = _hyperbola_legs(int(math.floor(u)), t)
     big_n = u / 2
     k, l = float(p.k), float(p.l)
     log_t = math.log(big_t)

@@ -112,9 +112,12 @@ class GrowthFit:
 
 
 def _check_height(t_max: float, limit: float):
-    """The desk-scale guard, run before any other input check."""
+    """The desk-scale guard, run before any other input check; a NaN or
+    infinite T below the limit is then refused as outside the domain."""
     if t_max > limit:
         raise ResourceLimitError(f"T {t_max:g} beyond the desk-scale limit {limit:g}")
+    if not math.isfinite(t_max):
+        raise DomainError(f"T must be finite, got {t_max}")
 
 
 def _moment(

@@ -36,8 +36,8 @@ from .zeta import (
     _choose_terms,
     afe_simple,
     afe_zeta_squared,
+    chi,
     chi_grid,
-    functional_equation_residual,
     smoothed_sum,
     zeta,
 )
@@ -95,7 +95,7 @@ def fe_check_rows(
     worst = 0.0
     for s in fe_check_grid(name):
         z = zeta(s, settings)
-        residual = functional_equation_residual(s, settings)
+        residual = abs(z - chi(s) * zeta(1 - s, settings))
         worst = max(worst, residual)
         rows.append(
             [

@@ -28,8 +28,10 @@ where logsin switches to the form -iz + log(1 - e^{2iz}) + log(i/2) for
 large |Im z| so nothing overflows; branch ambiguities are multiples of
 2 pi i and drop out in the exponential.
 
-Direct-sum reductions in the scalar paths use math.fsum, which is
-exactly rounded, so the compensation never limits accuracy.  The grid
+Direct-sum reductions in the scalar paths are exactly rounded, bit for
+bit what math.fsum gives, by the vectorized exact sum of the dirichlet
+module (fsum itself below 512 terms), so the compensation never limits
+accuracy.  The grid
 path (zeta_grid_multi) shares one phase row per cell of width 4/log N
 between the nodes of that cell and shifts it to each node by a Taylor
 polynomial of order K, the smallest K with e^x x^K/K! <= 2^-53 where

@@ -185,6 +185,15 @@ class TestMoment:
     def test_integrate_resource_limit(self, capsys):
         assert main(["moment", "integrate", "--T", "50000"]) == 4
 
+    @pytest.mark.parametrize(
+        "argv", [["moment", "split", "--T", "nan"], ["moment", "watt", "--T", "nan", "--coeffs", "1"]]
+    )
+    def test_nan_t_is_a_domain_error(self, argv, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "T must be finite, got nan" in captured.err
+
     def test_scan(self, capsys):
         assert main(["moment", "scan", "--j", "0", "--T-list", "32,64,128"]) == 0
         payload = json.loads(capsys.readouterr().out)

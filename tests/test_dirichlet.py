@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zetalab import (
     DivisorTable,
@@ -18,7 +19,14 @@ from zetalab import (
     s1_s2_bound_check,
     vdc_bound,
 )
-from zetalab.dirichlet import _BLOCK, _compensated_cumsum
+from zetalab import dirichlet
+from zetalab.dirichlet import (
+    _BLOCK,
+    _EXACT_MIN,
+    _compensated_cumsum,
+    _fsum_complex,
+    _phase_row,
+)
 from zetalab.pairs import ExponentPair
 from fractions import Fraction as F
 
@@ -242,3 +250,208 @@ class TestS1S2:
             s1_s2_bound_check(100, 10.0, SEED_PAIRS["trivial"], 0.5)
         with pytest.raises(DomainError):
             s1_s2_bound_check(100, 100.0, SEED_PAIRS["trivial"], 10.0)
+
+
+def _fsum_reference(z: np.ndarray):
+    """complex(fsum(real), fsum(imag)) as repr, or the exception fsum raises."""
+    try:
+        return repr(complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist())))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _fsum_complex_outcome(z: np.ndarray):
+    try:
+        return repr(_fsum_complex(z))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# both sides of the crossover, a block, and past one block
+SIZES = [1, 7, _EXACT_MIN - 1, _EXACT_MIN, _EXACT_MIN + 1, 1000, 4097, _BLOCK, 20011]
+
+
+class TestExactSum:
+    """_fsum_complex is fsum on each part, bit for bit, exceptions included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=st.sampled_from(SIZES),
+        low=st.integers(-300, 300),
+        span=st.integers(0, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exponents_from_1e_minus_300_to_1e300(self, size, low, span, seed):
+        rng = np.random.default_rng(seed)
+        high = min(low + span, 300)
+        parts = [
+            rng.uniform(-1, 1, size) * 10.0 ** rng.uniform(low, high, size) for _ in range(2)
+        ]
+        z = parts[0] + 1j * parts[1]
+        assert _fsum_complex_outcome(z) == _fsum_reference(z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.sampled_from(SIZES), seed=st.integers(0, 2**32 - 1))
+    def test_same_sign_terms_near_the_peak(self, size, seed):
+        # the partial sums grow to size * max|x|, the worst case for the split
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(0.5, 1.0, size) - 1j * rng.uniform(0.5, 1.0, size)
+        assert _fsum_complex_outcome(z) == _fsum_reference(z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.sampled_from(SIZES),
+        normal_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_subnormals(self, size, normal_share, seed):
+        rng = np.random.default_rng(seed)
+        tiny = rng.integers(-(2**52), 2**52, size) * 5e-324
+        normal = rng.uniform(-1, 1, size) * 2.0**-1000
+        z = np.where(rng.random(size) < normal_share, normal, tiny) + 1j * tiny[::-1]
+        assert _fsum_complex_outcome(z) == _fsum_reference(z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.sampled_from(SIZES),
+        scale=st.integers(-200, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_heavy_cancellation(self, size, scale, seed):
+        rng = np.random.default_rng(seed)
+        big = rng.uniform(-1, 1, size) * 10.0**scale
+        small = rng.uniform(-1, 1, 3) * 10.0 ** (scale - 30)
+        re = np.concatenate([big, small, -big[::-1]])
+        z = re + 1j * np.roll(re, 1)
+        assert _fsum_complex_outcome(z) == _fsum_reference(z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.sampled_from(SIZES[1:]),
+        base_exp=st.integers(-900, 800),
+        odd=st.booleans(),
+        nudge=st.sampled_from([-1, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_half_even_ties(self, size, base_exp, odd, nudge, seed):
+        # base + half an ulp of base, split over many terms, sits exactly
+        # between two doubles; a nudge of one tiny term breaks the tie
+        rng = np.random.default_rng(seed)
+        base = math.ldexp(1.0 + odd * 2.0**-52, base_exp)
+        half_ulp = math.ulp(base) / 2
+        pieces = rng.integers(1, 1000, size - 1).astype(np.float64)
+        pieces *= half_ulp / pieces.sum()  # not exact in general: rebuild below
+        pieces = np.floor(pieces / 2.0 ** (base_exp - 100)) * 2.0 ** (base_exp - 100)
+        pieces[-1] += half_ulp - math.fsum(pieces.tolist())
+        pieces[-1] += nudge * 2.0 ** (base_exp - 100)
+        re = rng.permutation(np.concatenate([[base], pieces]))
+        z = re - 1j * re
+        assert _fsum_complex_outcome(z) == _fsum_reference(z)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_zeros_and_signed_zeros(self, size):
+        zero = np.zeros(size)
+        for z in (
+            zero + 0j,
+            -zero - 0j,
+            np.where(np.arange(size) % 2 == 0, 0.0, -0.0) * (1 - 1j),
+            np.ones(size) - 0j * zero,  # real ones, imag all -0.0
+            np.ones(size) * complex(1.0, -0.0),
+        ):
+            assert _fsum_complex_outcome(z) == _fsum_reference(z)
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize(
+        "special",
+        [
+            (math.nan, 0.0),
+            (math.inf, 0.0),
+            (-math.inf, 1.0),
+            (0.0, math.inf),
+            (math.inf, -math.inf),
+            (1e308, 1e308),  # intermediate overflow
+            (2.0**950, -(2.0**950)),  # huge but finite, cancels
+        ],
+    )
+    def test_nan_inf_and_overflow(self, size, special):
+        rng = np.random.default_rng(size)
+        z = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+        z[rng.integers(0, size)] = complex(*special)
+        z[-1] = complex(special[1], special[0])
+        assert _fsum_complex_outcome(z) == _fsum_reference(z)
+
+    @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_cumsum_carries_match_fsum_of_block_fsums(self, size):
+        # the carry rule of the loop that fsums every block in turn
+        rng = np.random.default_rng(size)
+        terms = rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size) + 1j
+        want = np.empty(size, dtype=np.complex128)
+        block_re: list[float] = []
+        block_im: list[float] = []
+        for lo in range(0, size, _BLOCK):
+            seg = terms[lo : lo + _BLOCK]
+            carry = complex(math.fsum(block_re), math.fsum(block_im))
+            want[lo : lo + _BLOCK] = np.cumsum(seg) + carry
+            block_re.append(math.fsum(seg.real.tolist()))
+            block_im.append(math.fsum(seg.imag.tolist()))
+        got = _compensated_cumsum(terms)
+        assert got.tobytes() == want.tobytes()
+
+
+def _evict_phase_row():
+    _phase_row(-12345.678, 1)
+
+
+class TestPhaseRowCache:
+    US = [1, 2, 3, 100, 511, 512, 513, 8191, 8192, 8193, 9000, 16384, 16385, 20000]
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 1.3, 123.456])
+    def test_cold_and_warm_agree(self, t, table):
+        def values(u):
+            return (
+                repr(divisor_phase_sum_direct(u, t, table)),
+                repr(divisor_phase_sum_hyperbola(u, t)),
+                repr(s1_s2_bound_check(u, t, SEED_PAIRS["trivial"], 100.0)),
+            )
+
+        cold = {}
+        for u in self.US:
+            _evict_phase_row()
+            cold[u] = values(u)
+        for order in (self.US, self.US[::-1]):
+            _evict_phase_row()
+            warm = {u: values(u) for u in order}
+            assert warm == cold
+
+    def test_row_matches_a_cold_computation(self):
+        for t in (0.0, 17.77):
+            _evict_phase_row()
+            for m in (1, 5000, 8193, 20000, 300):
+                row, prefix = _phase_row(t, m)
+                n = np.arange(1, m + 1, dtype=np.float64)
+                cold = np.exp(1j * t * np.log(n))
+                assert row.tobytes() == cold.tobytes()
+                assert prefix.tobytes() == _compensated_cumsum(cold).tobytes()
+
+    def test_growth_is_geometric(self):
+        _evict_phase_row()
+        for m in range(1, 1001):
+            _phase_row(2.5, m)
+        assert dirichlet._phase_cache[1].size == 1024
+
+    def test_signed_zero_t_are_distinct(self):
+        # the entry is keyed on the bits of t, so 0.0 and -0.0 never share one
+        n = np.arange(1, 51, dtype=np.float64)
+        keys = []
+        for t in (0.0, -0.0, 0.0):
+            row, _ = _phase_row(t, 50)
+            keys.append(dirichlet._phase_cache[0])
+            assert row.tobytes() == np.exp(1j * t * np.log(n)).tobytes()
+        assert keys[0] != keys[1] and keys[0] == keys[2]
+
+    def test_views_are_read_only(self):
+        row, prefix = _phase_row(3.0, 100)
+        for view in (row, prefix):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 0

@@ -213,6 +213,14 @@ class TestSplit:
         with pytest.raises(ResourceLimitError):  # the guard precedes the sigma check
             split_i1_i2(5000.0, 0.5, 8.0)
 
+    def test_non_finite_t(self):
+        with pytest.raises(DomainError):
+            split_i1_i2(math.nan, 0.75, 8.0)
+        with pytest.raises(DomainError):
+            split_i1_i2(-math.inf, 0.75, 8.0)
+        with pytest.raises(ResourceLimitError):  # +inf meets the height guard first
+            split_i1_i2(math.inf, 0.75, 8.0)
+
 
 class TestWatt:
     def test_zero_t(self):
@@ -259,6 +267,16 @@ class TestWatt:
         with pytest.raises(ResourceLimitError):  # the guard precedes the zero-peak return
             watt_ratio(5000.0, 3, [0.0, 0.0, 0.0])
 
+    def test_non_finite_t(self):
+        with pytest.raises(DomainError):
+            watt_ratio(math.nan, 1, [1.0])
+        with pytest.raises(DomainError):  # refused before the zero-peak return
+            watt_ratio(math.nan, 3, [0.0, 0.0, 0.0])
+        with pytest.raises(DomainError):
+            watt_ratio(-math.inf, 1, [1.0])
+        with pytest.raises(ResourceLimitError):
+            watt_ratio(math.inf, 1, [1.0])
+
 
 class TestSixthMomentProbe:
     def test_zero_t(self):
@@ -275,6 +293,14 @@ class TestSixthMomentProbe:
             sixth_moment_probe(-1.0)
         with pytest.raises(ResourceLimitError):
             sixth_moment_probe(5000.0)
+
+    def test_non_finite_t(self):
+        with pytest.raises(DomainError):
+            sixth_moment_probe(math.nan)
+        with pytest.raises(DomainError):
+            sixth_moment_probe(-math.inf)
+        with pytest.raises(ResourceLimitError):
+            sixth_moment_probe(math.inf)
 
 
 def _power_coeffs(m_length: int, exponent: float) -> list[float]:
