@@ -43,7 +43,7 @@ from .thresholds import (
     theorem1_sigma,
     theorem2_sigma,
 )
-from .zeta import afe_simple, afe_zeta_squared, smoothed_sum, zeta
+from .zeta import zeta
 
 _ff = report.fmt_float
 _fr = report.fmt_rational
@@ -199,23 +199,10 @@ def cmd_pairs_thresholds(args, config: Config) -> int:
     return 0
 
 
-def _zeta_row(sigma, t, x_or_y, value, residual=None, bound=None) -> list[str]:
-    ratio = "" if (residual is None or bound is None) else _ff(residual / bound)
-    return [
-        _ff(sigma),
-        _ff(t),
-        "" if x_or_y is None else _ff(x_or_y),
-        _ff(value.real),
-        _ff(value.imag),
-        "" if residual is None else _ff(residual),
-        "" if bound is None else _ff(bound),
-        ratio,
-    ]
-
-
 def cmd_zeta_eval(args, config: Config) -> int:
     value = zeta(complex(args.sigma, args.t), config.eval_settings())
-    _emit(report.emit_csv(report.ZETA_CSV_HEADER, [_zeta_row(args.sigma, args.t, None, value)]))
+    row = report.zeta_row(args.sigma, args.t, None, value)
+    _emit(report.emit_csv(report.ZETA_CSV_HEADER, [row]))
     return 0
 
 
@@ -223,14 +210,11 @@ def cmd_zeta_afe(args, config: Config) -> int:
     es = config.eval_settings()
     if args.grid:
         rows, _ = report.afe_scan_rows(es, config.afe_residual_limit)
-        _emit(report.emit_csv(report.ZETA_CSV_HEADER, rows))
-        return 0
-    if args.sigma is None or args.cutoff is None:
+    elif args.sigma is None or args.cutoff is None:
         raise ParseError("afe needs --sigma and --cutoff (or --grid scan)", 0)
-    s = complex(args.sigma, args.t)
-    value, residual = afe_simple(s, args.cutoff, es)
-    row = _zeta_row(args.sigma, args.t, args.cutoff, value, residual, config.afe_residual_limit)
-    _emit(report.emit_csv(report.ZETA_CSV_HEADER, [row]))
+    else:
+        rows = [report.afe_row(args.sigma, args.t, args.cutoff, es, config.afe_residual_limit)[0]]
+    _emit(report.emit_csv(report.ZETA_CSV_HEADER, rows))
     return 0
 
 
@@ -254,20 +238,16 @@ def cmd_zeta_afe2(args, config: Config) -> int:
             f"cutoff x = {x:g} needs a divisor table beyond the configured "
             f"size {config.divisor_table_size}"
         )
-    table = DivisorTable(max(int(x), 1))
-    value, residual, bound = afe_zeta_squared(complex(args.sigma, args.t), x, table, es)
-    row = _zeta_row(args.sigma, args.t, x, value, residual, bound)
+    row, _ = report.afe2_row(args.sigma, args.t, x, DivisorTable(max(int(x), 1)), es)
     _emit(report.emit_csv(report.ZETA_CSV_HEADER, [row]))
     return 0
 
 
 def cmd_zeta_smooth(args, config: Config) -> int:
-    es = config.eval_settings()
-    s = complex(args.sigma, args.t)
-    value = smoothed_sum(s, args.Y, args.multiplier)
-    residual = report.smooth_residual(s, args.Y, es)
-    bound = config.smooth_residual_limit * args.Y ** (0.5 - args.sigma)
-    row = _zeta_row(args.sigma, args.t, args.Y, value, residual, bound)
+    row, _ = report.smooth_row(
+        complex(args.sigma, args.t), args.Y, config.eval_settings(),
+        config.smooth_residual_limit, args.multiplier,
+    )
     _emit(report.emit_csv(report.ZETA_CSV_HEADER, [row]))
     return 0
 

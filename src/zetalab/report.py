@@ -6,6 +6,10 @@ report writer emit byte-identical output for identical inputs.  Floats
 print with 15 significant digits, exact rationals as num/den, and
 nothing here reads clocks, hostnames, or thread counts, so two runs of
 any command produce the same bytes.
+
+zeta_row is the one builder of ZETA_CSV_HEADER rows.  Each zeta harness
+has one point function returning (row, figure): afe_row, afe2_row and
+smooth_row serve both the scan and the single-point CLI command.
 """
 
 from __future__ import annotations
@@ -87,6 +91,22 @@ def fe_check_grid(name: str) -> list[complex]:
     return grid
 
 
+def zeta_row(sigma, t, x_or_y, value, residual=None, bound=None) -> list[str]:
+    """One ZETA_CSV_HEADER row; a column a harness lacks is left empty,
+    and the ratio is residual / bound when both are given."""
+    ratio = "" if (residual is None or bound is None) else fmt_float(residual / bound)
+    return [
+        fmt_float(sigma),
+        fmt_float(t),
+        "" if x_or_y is None else fmt_float(x_or_y),
+        fmt_float(value.real),
+        fmt_float(value.imag),
+        "" if residual is None else fmt_float(residual),
+        "" if bound is None else fmt_float(bound),
+        ratio,
+    ]
+
+
 def fe_check_rows(
     name: str, settings: EvalSettings
 ) -> tuple[list[list[str]], float]:
@@ -97,19 +117,17 @@ def fe_check_rows(
         z = zeta(s, settings)
         residual = abs(z - chi(s) * zeta(1 - s, settings))
         worst = max(worst, residual)
-        rows.append(
-            [
-                fmt_float(s.real),
-                fmt_float(s.imag),
-                "",
-                fmt_float(z.real),
-                fmt_float(z.imag),
-                fmt_float(residual),
-                fmt_float(1e-8),
-                fmt_float(residual / 1e-8),
-            ]
-        )
+        rows.append(zeta_row(s.real, s.imag, None, z, residual, 1e-8))
     return rows, worst
+
+
+def afe_row(
+    sigma: float, t: float, cutoff: float, settings: EvalSettings, residual_limit: float
+) -> tuple[list[str], float]:
+    """The truncated series sum_{n <= cutoff} n^{-s} at s = sigma + it;
+    returns (row, residual), the bound column being residual_limit."""
+    value, residual = afe_simple(complex(sigma, t), cutoff, settings)
+    return zeta_row(sigma, t, cutoff, value, residual, residual_limit), residual
 
 
 def afe_scan_rows(
@@ -125,27 +143,13 @@ def afe_scan_rows(
     carry residual/limit so a scan is judged against the configured
     limit (default 10), nothing sharper.
     """
-    rows = []
-    worst = 0.0
-    for big_t in t_blocks:
-        cutoff = 2 * big_t
-        for sigma in sigmas:
-            for t in np.linspace(big_t, 2 * big_t, points):
-                value, residual = afe_simple(complex(sigma, t), cutoff, settings)
-                worst = max(worst, residual)
-                rows.append(
-                    [
-                        fmt_float(sigma),
-                        fmt_float(float(t)),
-                        fmt_float(cutoff),
-                        fmt_float(value.real),
-                        fmt_float(value.imag),
-                        fmt_float(residual),
-                        fmt_float(residual_limit),
-                        fmt_float(residual / residual_limit),
-                    ]
-                )
-    return rows, worst
+    scan = [
+        afe_row(sigma, float(t), 2 * big_t, settings, residual_limit)
+        for big_t in t_blocks
+        for sigma in sigmas
+        for t in np.linspace(big_t, 2 * big_t, points)
+    ]
+    return [row for row, _ in scan], max((residual for _, residual in scan), default=0.0)
 
 
 def afe2_grid() -> list[tuple[float, float, float]]:
@@ -160,6 +164,15 @@ def afe2_grid() -> list[tuple[float, float, float]]:
     return grid
 
 
+def afe2_row(
+    sigma: float, t: float, x: float, table: DivisorTable, settings: EvalSettings
+) -> tuple[list[str], float]:
+    """The two-sum representation of zeta(s)^2 at s = sigma + it with
+    cutoff x; returns (row, residual/bound)."""
+    value, residual, bound = afe_zeta_squared(complex(sigma, t), x, table, settings)
+    return zeta_row(sigma, t, x, value, residual, bound), residual / bound
+
+
 def afe2_scan_rows(
     settings: EvalSettings, ratio_limit: float
 ) -> tuple[list[list[str]], float]:
@@ -170,38 +183,39 @@ def afe2_scan_rows(
     """
     grid = afe2_grid()
     table = DivisorTable(int(max(x for _, _, x in grid)) + 1)
-    rows = []
-    worst = 0.0
-    for sigma, t, x in grid:
-        value, residual, bound = afe_zeta_squared(
-            complex(sigma, t), x, table, settings
-        )
-        ratio = residual / bound
-        worst = max(worst, ratio)
-        rows.append(
-            [
-                fmt_float(sigma),
-                fmt_float(t),
-                fmt_float(x),
-                fmt_float(value.real),
-                fmt_float(value.imag),
-                fmt_float(residual),
-                fmt_float(bound),
-                fmt_float(ratio),
-            ]
-        )
-    return rows, worst
+    scan = [afe2_row(sigma, t, x, table, settings) for sigma, t, x in grid]
+    return [row for row, _ in scan], max((ratio for _, ratio in scan), default=0.0)
 
 
-def smooth_residual(s: complex, smoothing: float, settings: EvalSettings) -> float:
-    """|smoothed series - zeta(s) - Gamma(1-s) Y^{1-s}|, the leftover
-    after the two residues of the Mellin representation."""
+def smooth_residual(
+    s: complex, smoothing: float, settings: EvalSettings, value=None
+) -> float:
+    """|value - zeta(s) - Gamma(1-s) Y^{1-s}|, the leftover after the two
+    residues of the Mellin representation; value is the smoothed series
+    at Y = smoothing, by default at its default truncation."""
     s = complex(s)
-    value = smoothed_sum(s, smoothing, None)
+    if value is None:
+        value = smoothed_sum(s, smoothing, None)
     residue = cmath.exp(
         complex(loggamma(1 - s)) + (1 - s) * math.log(smoothing)
     )
     return abs(value - zeta(s, settings) - residue)
+
+
+def smooth_row(
+    s: complex,
+    smoothing: float,
+    settings: EvalSettings,
+    residual_limit: float,
+    truncation_multiplier=None,
+) -> tuple[list[str], float]:
+    """The smoothed series at Y = smoothing and its residual; the bound
+    column is limit * Y^{1/2 - sigma}.  Returns (row, residual)."""
+    s = complex(s)
+    value = smoothed_sum(s, smoothing, truncation_multiplier)
+    residual = smooth_residual(s, smoothing, settings, value)
+    bound = residual_limit * smoothing ** (0.5 - s.real)
+    return zeta_row(s.real, s.imag, smoothing, value, residual, bound), residual
 
 
 def smooth_scan_rows(
@@ -210,28 +224,9 @@ def smooth_scan_rows(
     s: complex = 0.75 + 20j,
     smoothings: Sequence[float] = (1e2, 1e3, 1e4),
 ) -> tuple[list[list[str]], list[float]]:
-    """Residue-identity residuals at increasing smoothing scales; the
-    bound column is limit * Y^{1/2 - sigma}."""
-    rows = []
-    residuals = []
-    for y in smoothings:
-        value = smoothed_sum(s, y, None)
-        residual = smooth_residual(s, y, settings)
-        bound = residual_limit * y ** (0.5 - s.real)
-        residuals.append(residual)
-        rows.append(
-            [
-                fmt_float(s.real),
-                fmt_float(s.imag),
-                fmt_float(y),
-                fmt_float(value.real),
-                fmt_float(value.imag),
-                fmt_float(residual),
-                fmt_float(bound),
-                fmt_float(residual / bound),
-            ]
-        )
-    return rows, residuals
+    """Residue-identity residuals at increasing smoothing scales."""
+    scan = [smooth_row(s, y, settings, residual_limit) for y in smoothings]
+    return [row for row, _ in scan], [residual for _, residual in scan]
 
 
 def _hyperbola_spot_max(us: Sequence[int], ts: Sequence[float]) -> float:

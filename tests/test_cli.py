@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+from zetalab import report
 from zetalab.cli import main
 from zetalab.config import ENV_VAR
 from zetalab.report import MOMENT_CSV_HEADER, PAIR_CSV_HEADER, ZETA_CSV_HEADER
+from zetalab.zeta import DEFAULT_SETTINGS, smoothed_sum
 
 HELP_TARGETS = [
     [],
@@ -173,6 +175,50 @@ class TestZeta:
         assert len(lines) == 1 + 36
         ratios = [float(line.split(",")[7]) for line in lines[1:]]
         assert max(ratios) <= 1.0
+
+
+class TestHarnessParity:
+    """A single-point command prints the row its scan prints for that point."""
+
+    def _row(self, capsys, argv) -> str:
+        assert main(argv) == 0
+        return out_line(capsys, 1)
+
+    def test_eval_matches_fe_check_value_cells(self, capsys):
+        rows, _ = report.fe_check_rows("coarse", DEFAULT_SETTINGS)
+        s = report.fe_check_grid("coarse")[8]
+        cells = self._row(capsys, ["zeta", "eval", "--sigma", repr(s.real), "--t", repr(s.imag)])
+        cells = cells.split(",")
+        assert [cells[i] for i in (0, 1, 3, 4)] == [rows[8][i] for i in (0, 1, 3, 4)]
+        assert [cells[i] for i in (2, 5, 6, 7)] == ["", "", "", ""]
+
+    def test_afe_point_matches_scan(self, capsys):
+        rows, _ = report.afe_scan_rows(DEFAULT_SETTINGS, 10.0)
+        sigma, t, cutoff = rows[10][:3]  # sigma 0.75, t 150, cutoff 200
+        argv = ["zeta", "afe", "--sigma", sigma, "--t", t, "--cutoff", cutoff]
+        assert self._row(capsys, argv) == ",".join(rows[10])
+
+    @pytest.mark.parametrize("index", [14, 15])  # sigma 0.45, t 200; x balanced, then x = t
+    def test_afe2_point_matches_scan(self, capsys, index):
+        rows, _ = report.afe2_scan_rows(DEFAULT_SETTINGS, 50.0)
+        sigma, t, x = report.afe2_grid()[index]
+        argv = ["zeta", "afe2", "--sigma", repr(sigma), "--t", repr(t), "--x", repr(x)]
+        assert self._row(capsys, argv) == ",".join(rows[index])
+
+    def test_smooth_point_matches_scan(self, capsys):
+        rows, _ = report.smooth_scan_rows(DEFAULT_SETTINGS, 10.0)
+        argv = ["zeta", "smooth", "--sigma", "0.75", "--t", "20", "--Y", "1000"]
+        assert self._row(capsys, argv) == ",".join(rows[1])
+
+    def test_smooth_residual_belongs_to_printed_value(self, capsys):
+        argv = ["zeta", "smooth", "--sigma", "0.75", "--t", "20", "--Y", "100",
+                "--multiplier", "20"]
+        cells = self._row(capsys, argv).split(",")
+        s = complex(0.75, 20)
+        value = smoothed_sum(s, 100.0, 20.0)
+        assert cells[3:5] == [report.fmt_float(value.real), report.fmt_float(value.imag)]
+        residual = report.smooth_residual(s, 100.0, DEFAULT_SETTINGS, value)
+        assert cells[5] == report.fmt_float(residual)
 
 
 class TestMoment:
