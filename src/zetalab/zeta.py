@@ -28,10 +28,13 @@ where logsin switches to the form -iz + log(1 - e^{2iz}) + log(i/2) for
 large |Im z| so nothing overflows; branch ambiguities are multiples of
 2 pi i and drop out in the exponential.
 
-Direct-sum reductions in the scalar paths are exactly rounded, bit for
-bit what math.fsum gives, by the vectorized exact sum of the dirichlet
+One routine, _em_tail, evaluates the boundary and correction terms in
+nested (Horner) form for a scalar s and for an array of s alike, so
+zeta() and zeta_grid_multi share the tail and differ only in the direct
+sum.  Direct-sum reductions in the scalar paths are exactly rounded, bit
+for bit what math.fsum gives, by the vectorized exact sum of the dirichlet
 module (fsum itself below 512 terms), so the compensation never limits
-accuracy.  The grid
+accuracy; zeta() takes its direct sum from partial_zeta_sum.  The grid
 path (zeta_grid_multi) shares one phase row per cell of width 4/log N
 between the nodes of that cell and shifts it to each node by a Taylor
 polynomial of order K, the smallest K with e^x x^K/K! <= 2^-53 where
@@ -163,28 +166,14 @@ def _check_domain(s: complex):
         raise DomainError(f"sigma < -1 unsupported, got {s.real}")
 
 
-def _em_tail(s: complex, n: int, q: int) -> complex:
-    """Boundary and Bernoulli-correction terms at cut N = n (scalar)."""
-    n_to_minus_s = cmath.exp(-s * math.log(n))
-    tail = n * n_to_minus_s / (s - 1) + n_to_minus_s / 2
-    coeffs = _correction_coeffs(q)
-    rise = s
-    n_pow = n_to_minus_s / n  # N^{-s-1}; term r uses N^{1-s-2r}
-    for r in range(1, q + 1):
-        tail += coeffs[r - 1] * rise * n_pow
-        if r < q:
-            rise *= (s + (2 * r - 1)) * (s + 2 * r)
-            n_pow /= n * n
-    return tail
-
-
-def _em_tail_grid(s: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Boundary and Bernoulli-correction terms at cut N = n over an array
-    of s, nested as N^{-s} (N/(s-1) + 1/2 + (s/N) A) with
+def _em_tail(s, n: int, q: int):
+    """Boundary and Bernoulli-correction terms at cut N = n, for a complex
+    s or an array of s, nested as N^{-s} (N/(s-1) + 1/2 + (s/N) A) with
     A = c_1 + (s+1)(s+2)/N^2 (c_2 + (s+3)(s+4)/N^2 (c_3 + ...)) and
-    c_r = B_2r/(2r)!."""
+    c_r = B_2r/(2r)!.  On an array the operators act in place; on a
+    complex they rebind."""
     coeffs = _correction_coeffs(q)
-    tail = np.full(s.shape, coeffs[q - 1], dtype=np.complex128)
+    tail = coeffs[q - 1] + 0 * s
     for r in range(q - 1, 0, -1):
         tail *= s + (2 * r - 1)
         tail *= s + 2 * r
@@ -206,10 +195,7 @@ def zeta(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
     s = complex(s)
     _check_domain(s)
     n = _choose_terms(s, settings)
-    logk = np.log(np.arange(1, n, dtype=np.float64))
-    terms = np.exp(-s * logk)
-    direct = _fsum_complex(terms)
-    value = direct + _em_tail(s, n, settings.bernoulli_order)
+    value = complex(partial_zeta_sum(s, n - 1) + _em_tail(s, n, settings.bernoulli_order))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise PrecisionError(f"non-finite zeta value at s = {s}")
     return value
@@ -272,7 +258,7 @@ def zeta_grid_multi(
 
     out = np.empty((len(sigmas), ts.size), dtype=np.complex128)
     for row, sig in enumerate(sigmas):
-        out[row] = _em_tail_grid(sig + 1j * ts, n, q)
+        out[row] = _em_tail(sig + 1j * ts, n, q)
 
     cells, cell_of = np.unique(np.floor(ts / (4 / logn)), return_inverse=True)
     n_cells = cells.size
