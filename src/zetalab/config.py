@@ -64,18 +64,10 @@ class Config:
         )
 
 
-_INT_KEYS = {"bernoulli_order", "points_per_panel", "threads", "divisor_table_size"}
-_FLOAT_KEYS = {
-    "target_abs_error",
-    "width_scale",
-    "afe_residual_limit",
-    "afe2_ratio_limit",
-    "smooth_residual_limit",
-}
-_STR_KEYS = {"output_dir"}
-_ALL_KEYS = (
-    {"euler_maclaurin_terms"} | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-)
+# key -> parser: the type of each field's default; euler_maclaurin_terms
+# (default None) also takes "auto"
+_PARSERS = {f.name: type(f.default) for f in fields(Config)}
+_PARSERS["euler_maclaurin_terms"] = lambda value: None if value == "auto" else int(value)
 
 
 def parse_config(text: str) -> Config:
@@ -89,19 +81,12 @@ def parse_config(text: str) -> Config:
             raise ParseError(f"expected 'key = value', got {line!r}", lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _PARSERS:
             raise ParseError(f"unknown config key {key!r}", lineno)
         if key in values:
             raise ParseError(f"duplicate config key {key!r}", lineno)
         try:
-            if key == "euler_maclaurin_terms":
-                values[key] = None if value == "auto" else int(value)
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = _PARSERS[key](value)
         except ValueError:
             raise ParseError(f"bad value for {key}: {value!r}", lineno) from None
     return Config(**values)

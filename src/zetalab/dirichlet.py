@@ -138,6 +138,13 @@ def _phase_row(t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return row[:m], prefix[:m]
 
 
+def _cutoff(u: float) -> int:
+    """floor(u) as an int; DomainError for a NaN or infinite u."""
+    if not math.isfinite(u):
+        raise DomainError(f"u must be finite, got {u}")
+    return int(math.floor(u))
+
+
 def _hyperbola_legs(m: int, t: float) -> tuple[complex, complex]:
     """S1 = sum_{k <= sqrt(m)} k^{it} P(floor(m/k)) and S2 = P(floor(sqrt(m)))."""
     root = math.isqrt(m)
@@ -220,7 +227,7 @@ def vdc_bound(w: SumWindow, p: ExponentPair, big_t: float) -> float:
 
 def divisor_phase_sum_direct(u: float, t: float, table: DivisorTable) -> complex:
     """sum_{n <= u} d(n) n^{it} straight from the table."""
-    m = int(math.floor(u))
+    m = _cutoff(u)
     if m < 1:
         return 0j
     table.require(m)
@@ -234,11 +241,11 @@ def divisor_phase_sum_hyperbola(u: float, t: float) -> complex:
     Matches the direct route to 1e-9 relative for u <= 10^6: the identity
     is exact over the integers, so only compensated-rounding noise is left.
     """
-    m = int(math.floor(u))
+    m = _cutoff(u)
     if m < 1:
         return 0j
     s1, s2 = _hyperbola_legs(m, t)
-    return 2 * s1 - s2 * s2
+    return complex(2 * s1 - s2 * s2)
 
 
 def partial_summation_window(
@@ -289,9 +296,9 @@ def s1_s2_bound_check(
         raise DomainError(f"u must be >= 1, got {u}")
     if big_t <= 1:
         raise DomainError(f"T must be > 1, got {big_t}")
-    if abs(t) > 2 * big_t:
+    if not abs(t) <= 2 * big_t:
         raise DomainError(f"|t| = {abs(t):g} exceeds 2T = {2 * big_t:g}")
-    s1, s2 = _hyperbola_legs(int(math.floor(u)), t)
+    s1, s2 = _hyperbola_legs(_cutoff(u), t)
     big_n = u / 2
     k, l = float(p.k), float(p.l)
     log_t = math.log(big_t)

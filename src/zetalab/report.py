@@ -92,19 +92,11 @@ def fe_check_grid(name: str) -> list[complex]:
 
 
 def zeta_row(sigma, t, x_or_y, value, residual=None, bound=None) -> list[str]:
-    """One ZETA_CSV_HEADER row; a column a harness lacks is left empty,
-    and the ratio is residual / bound when both are given."""
-    ratio = "" if (residual is None or bound is None) else fmt_float(residual / bound)
-    return [
-        fmt_float(sigma),
-        fmt_float(t),
-        "" if x_or_y is None else fmt_float(x_or_y),
-        fmt_float(value.real),
-        fmt_float(value.imag),
-        "" if residual is None else fmt_float(residual),
-        "" if bound is None else fmt_float(bound),
-        ratio,
-    ]
+    """One ZETA_CSV_HEADER row; a cell given as None is left empty, and
+    the ratio is residual / bound when both are given."""
+    ratio = None if residual is None or bound is None else residual / bound
+    cells = (sigma, t, x_or_y, value.real, value.imag, residual, bound, ratio)
+    return ["" if cell is None else fmt_float(cell) for cell in cells]
 
 
 def fe_check_rows(
@@ -203,10 +195,7 @@ def smooth_residual(
 
 
 def smooth_row(
-    s: complex,
-    smoothing: float,
-    settings: EvalSettings,
-    residual_limit: float,
+    s: complex, smoothing: float, settings: EvalSettings, residual_limit: float,
     truncation_multiplier=None,
 ) -> tuple[list[str], float]:
     """The smoothed series at Y = smoothing and its residual; the bound

@@ -28,13 +28,11 @@ where logsin switches to the form -iz + log(1 - e^{2iz}) + log(i/2) for
 large |Im z| so nothing overflows; branch ambiguities are multiples of
 2 pi i and drop out in the exponential.
 
-One routine, _em_tail, evaluates the boundary and correction terms in
-nested (Horner) form for a scalar s and for an array of s alike, so
-zeta() and zeta_grid_multi share the tail and differ only in the direct
-sum.  Direct-sum reductions in the scalar paths are exactly rounded, bit
-for bit what math.fsum gives, by the vectorized exact sum of the dirichlet
+zeta() and zeta_grid_multi add the same nested tail, _em_tail (below).
+Direct-sum reductions in the scalar paths are exactly rounded, bit for
+bit what math.fsum gives, by the vectorized exact sum of the dirichlet
 module (fsum itself below 512 terms), so the compensation never limits
-accuracy; zeta() takes its direct sum from partial_zeta_sum.  The grid
+accuracy.  The grid
 path (zeta_grid_multi) shares one phase row per cell of width 4/log N
 between the nodes of that cell and shifts it to each node by a Taylor
 polynomial of order K, the smallest K with e^x x^K/K! <= 2^-53 where

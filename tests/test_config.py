@@ -1,5 +1,7 @@
 """Flat key-value configuration."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from zetalab import Config, DomainError, ParseError, dump_config, load_config, parse_config
@@ -67,6 +69,20 @@ class TestRoundTrip:
             smooth_residual_limit=9.0,
         )
         assert parse_config(dump_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(Config)])
+    def test_every_field_round_trips(self, name):
+        default = getattr(Config(), name)
+        if default is None:
+            changed = 4096
+        elif isinstance(default, str):
+            changed = default + "_x"
+        else:
+            changed = default + 1 if isinstance(default, int) else default / 2
+        cfg = replace(Config(), **{name: changed})
+        parsed = parse_config(dump_config(cfg))
+        assert parsed == cfg
+        assert type(getattr(parsed, name)) is type(changed)
 
     def test_dump_renders_auto(self):
         assert "euler_maclaurin_terms = auto" in dump_config(Config())

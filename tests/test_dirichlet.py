@@ -175,6 +175,19 @@ class TestDivisorPhaseSums:
         assert abs(hyper - direct) <= 1e-9 * (1 + abs(direct))
 
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_u_is_a_domain_error(self, table, u):
+        with pytest.raises(DomainError):
+            divisor_phase_sum_direct(u, 1.3, table)
+        with pytest.raises(DomainError):
+            divisor_phase_sum_hyperbola(u, 1.3)
+
+    def test_both_routes_return_complex(self, table):
+        for u in (0, 1, 10, 1000):
+            assert type(divisor_phase_sum_direct(u, 1.3, table)) is complex
+            assert type(divisor_phase_sum_hyperbola(u, 1.3)) is complex
+
+
 class TestPartialSummation:
     def test_single_term(self, table):
         got = partial_summation_window(SumWindow(1, 2, 0.0), 1.0, table, -1)
@@ -250,6 +263,11 @@ class TestS1S2:
             s1_s2_bound_check(100, 10.0, SEED_PAIRS["trivial"], 0.5)
         with pytest.raises(DomainError):
             s1_s2_bound_check(100, 100.0, SEED_PAIRS["trivial"], 10.0)
+
+    @pytest.mark.parametrize("u, t", [(math.nan, 1.0), (math.inf, 1.0), (100, math.nan)])
+    def test_non_finite_input_is_a_domain_error(self, u, t):
+        with pytest.raises(DomainError):
+            s1_s2_bound_check(u, t, SEED_PAIRS["trivial"], 10.0)
 
 
 def _fsum_reference(z: np.ndarray):

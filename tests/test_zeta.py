@@ -302,6 +302,31 @@ class TestChi:
         assert chi(-2.0) == 0
         assert chi(-4.0) == 0
 
+    def test_against_mpmath(self):
+        """chi and chi_grid against 40-digit mpmath over sigma in [-1, 2]
+        and 0.1 <= |t| <= 1000, log-uniform in |t| with both signs, so
+        every branch of log sin (pi s / 2) runs, including |Im z| > 10.
+        The tolerance follows the rounding of s log 2, (s - 1) log pi and
+        log Gamma, which grows like |t| log |t|.  These draws reach
+        c = 22 at |t| < 1 (20 eps relative) and c = 1.5 for |t| > 10."""
+        rng = np.random.default_rng(2024)
+        n = 400
+        ts = rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-1.0, 3.0, n)
+        s_values = rng.uniform(-1.0, 2.0, n) + 1j * ts
+        grid = chi_grid(s_values)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            for s, got_grid in zip(s_values, grid):
+                s = complex(s)
+                z = mpmath.mpc(s.real, s.imag)
+                ref = complex(
+                    mpmath.power(2, z) * mpmath.power(mpmath.pi, z - 1)
+                    * mpmath.gamma(1 - z) * mpmath.sin(mpmath.pi * z / 2)
+                )
+                tol = 64 * eps * (1 + abs(s.imag)) * math.log(2 + abs(s.imag)) * abs(ref)
+                assert abs(chi(s) - ref) <= tol, (s, chi(s), ref)
+                assert abs(got_grid - ref) <= tol, (s, got_grid, ref)
+
     def test_grid_matches_scalar(self):
         s_values = np.array([0.3 + 7j, 0.5 + 300j, 0.9 - 40j, -0.5 + 3j])
         g = chi_grid(s_values)
