@@ -19,6 +19,7 @@ from . import report
 from .config import Config, load_config, override
 from .dirichlet import DivisorTable
 from .errors import (
+    DomainError,
     EmptyResultError,
     ParseError,
     ResourceLimitError,
@@ -37,7 +38,7 @@ from .objectives import (
     parse_objective,
     optimize,
 )
-from .pairs import SEED_PAIRS, ExponentPair, PairSet, enumerate_pairs, q_family_pair
+from .pairs import SEED_PAIRS, ExponentPair, enumerate_pairs, pair_cells, q_family_pair
 from .thresholds import (
     theorem1_pair_sigma,
     theorem1_sigma,
@@ -176,15 +177,7 @@ def cmd_pairs_optimize(args, config: Config) -> int:
         raise
     pair_set = enumerate_pairs(_parse_seeds(args.seeds), args.depth)
     best_pair, value = optimize(objective, pair_set, constraint)
-    row = [
-        str(best_pair.k.numerator),
-        str(best_pair.k.denominator),
-        str(best_pair.l.numerator),
-        str(best_pair.l.denominator),
-        best_pair.word,
-        "true" if best_pair.carries_epsilon else "false",
-        _fr(value),
-    ]
+    row = pair_cells(best_pair) + [_fr(value)]
     _emit(report.emit_csv(report.PAIR_CSV_HEADER + ",value", [row]))
     return 0
 
@@ -209,11 +202,11 @@ def cmd_zeta_eval(args, config: Config) -> int:
 def cmd_zeta_afe(args, config: Config) -> int:
     es = config.eval_settings()
     if args.grid:
-        rows, _ = report.afe_scan_rows(es, config.afe_residual_limit)
+        rows, _ = report.afe_scan_rows(es)
     elif args.sigma is None or args.cutoff is None:
         raise ParseError("afe needs --sigma and --cutoff (or --grid scan)", 0)
     else:
-        rows = [report.afe_row(args.sigma, args.t, args.cutoff, es, config.afe_residual_limit)[0]]
+        rows = [report.afe_row(args.sigma, args.t, args.cutoff, es)[0]]
     _emit(report.emit_csv(report.ZETA_CSV_HEADER, rows))
     return 0
 
@@ -221,7 +214,7 @@ def cmd_zeta_afe(args, config: Config) -> int:
 def cmd_zeta_afe2(args, config: Config) -> int:
     es = config.eval_settings()
     if args.grid:
-        rows, _ = report.afe2_scan_rows(es, config.afe2_ratio_limit)
+        rows, _ = report.afe2_scan_rows(es)
         _emit(report.emit_csv(report.ZETA_CSV_HEADER, rows))
         return 0
     if args.sigma is None or args.t is None:
@@ -233,6 +226,8 @@ def cmd_zeta_afe2(args, config: Config) -> int:
             x = float(args.x)
         except ValueError:
             raise ParseError(f"--x must be a number or 'balanced', got {args.x!r}", 0) from None
+    if not math.isfinite(x):
+        raise DomainError(f"cutoff x must be finite, got x = {x} at t = {args.t}")
     if int(x) > config.divisor_table_size:
         raise ResourceLimitError(
             f"cutoff x = {x:g} needs a divisor table beyond the configured "
@@ -245,8 +240,7 @@ def cmd_zeta_afe2(args, config: Config) -> int:
 
 def cmd_zeta_smooth(args, config: Config) -> int:
     row, _ = report.smooth_row(
-        complex(args.sigma, args.t), args.Y, config.eval_settings(),
-        config.smooth_residual_limit, args.multiplier,
+        complex(args.sigma, args.t), args.Y, config.eval_settings(), args.multiplier
     )
     _emit(report.emit_csv(report.ZETA_CSV_HEADER, [row]))
     return 0

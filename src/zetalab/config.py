@@ -3,9 +3,9 @@
 Format: one `key = value` per line, `#` starts a comment anywhere,
 blank lines ignored, unknown keys rejected.  Flags override config
 values; the only environment variable honored is ZETALAB_CONFIG, which
-names the config file when --config is absent.  Thread counts and
-artifact bound constants live here so runs are reproducible from
-(flags, config) alone, never from ambient machine state.
+names the config file when --config is absent.  Thread counts live here
+so runs are reproducible from (flags, config) alone, never from ambient
+machine state.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ ENV_VAR = "ZETALAB_CONFIG"
 
 @dataclass(frozen=True)
 class Config:
-    """Effective settings: precision, quadrature, resources, and the
-    artifact residual-bound constants (defaults 10 and 50; these are
-    configuration, not theorems)."""
+    """Effective settings: precision, quadrature and resources."""
 
     euler_maclaurin_terms: Optional[int] = None  # None means the auto rule
     bernoulli_order: int = EvalSettings.bernoulli_order
@@ -35,19 +33,12 @@ class Config:
     threads: int = QuadratureSettings.threads
     output_dir: str = "."
     divisor_table_size: int = 100_000
-    afe_residual_limit: float = 10.0
-    afe2_ratio_limit: float = 50.0
-    smooth_residual_limit: float = 10.0
 
     def __post_init__(self):
         self.eval_settings()  # the settings objects validate their own fields
         self.quadrature_settings()
         if self.divisor_table_size < 1:
             raise DomainError("divisor_table_size must be >= 1")
-        if self.afe_residual_limit <= 0 or self.afe2_ratio_limit <= 0:
-            raise DomainError("residual limits must be > 0")
-        if self.smooth_residual_limit <= 0:
-            raise DomainError("residual limits must be > 0")
 
     def eval_settings(self) -> EvalSettings:
         return EvalSettings(

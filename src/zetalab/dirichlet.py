@@ -138,10 +138,12 @@ def _phase_row(t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return row[:m], prefix[:m]
 
 
-def _cutoff(u: float) -> int:
-    """floor(u) as an int; DomainError for a NaN or infinite u."""
+def _cutoff(u: float, t: float) -> int:
+    """floor(u) as an int; DomainError for a NaN or infinite u or t."""
     if not math.isfinite(u):
         raise DomainError(f"u must be finite, got {u}")
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
     return int(math.floor(u))
 
 
@@ -227,7 +229,7 @@ def vdc_bound(w: SumWindow, p: ExponentPair, big_t: float) -> float:
 
 def divisor_phase_sum_direct(u: float, t: float, table: DivisorTable) -> complex:
     """sum_{n <= u} d(n) n^{it} straight from the table."""
-    m = _cutoff(u)
+    m = _cutoff(u, t)
     if m < 1:
         return 0j
     table.require(m)
@@ -241,7 +243,7 @@ def divisor_phase_sum_hyperbola(u: float, t: float) -> complex:
     Matches the direct route to 1e-9 relative for u <= 10^6: the identity
     is exact over the integers, so only compensated-rounding noise is left.
     """
-    m = _cutoff(u)
+    m = _cutoff(u, t)
     if m < 1:
         return 0j
     s1, s2 = _hyperbola_legs(m, t)
@@ -298,7 +300,7 @@ def s1_s2_bound_check(
         raise DomainError(f"T must be > 1, got {big_t}")
     if not abs(t) <= 2 * big_t:
         raise DomainError(f"|t| = {abs(t):g} exceeds 2T = {2 * big_t:g}")
-    s1, s2 = _hyperbola_legs(_cutoff(u), t)
+    s1, s2 = _hyperbola_legs(_cutoff(u, t), t)
     big_n = u / 2
     k, l = float(p.k), float(p.l)
     log_t = math.log(big_t)

@@ -264,8 +264,8 @@ def split_i1_i2(
     _check_height(big_t, _MAX_T_SPLIT)
     if big_t <= 1:
         raise DomainError(f"T must be > 1, got {big_t}")
-    if smoothing < 1:
-        raise DomainError(f"smoothing scale Y must be >= 1, got {smoothing}")
+    if not 1 <= smoothing < math.inf:
+        raise DomainError(f"smoothing scale Y must be finite and >= 1, got {smoothing}")
     if not (0.5 < sigma < 1):
         raise DomainError(f"sigma must lie in (1/2, 1), got {sigma}")
     log_sq = math.log(big_t) ** 2
@@ -313,6 +313,8 @@ def watt_ratio(
         raise DomainError(f"expected {m_length} coefficients, got {a.size}")
     if m_length < 1:
         raise DomainError("need at least one coefficient")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("coefficients must be finite")
     peak = float(np.max(np.abs(a)) ** 2)
     if big_t == 0 or peak == 0:
         return MomentResult(0.0, 0.0, 0), 0.0, 0.0

@@ -18,6 +18,7 @@ Nonlinear input (k*l, k*k, powers) is rejected with a position.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -256,7 +257,9 @@ def eval_objective(obj: FractionalObjective, p: ExponentPair) -> Fraction:
     return obj.numerator(p) / den
 
 
-_COMPARATORS = ("<=", ">=", "<", ">", "=")
+# parse_constraint tries these in order, so "<=" is found before "<" and "="
+_COMPARATORS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt,
+                ">": operator.gt, "=": operator.eq}
 
 
 @dataclass(frozen=True)
@@ -268,16 +271,7 @@ class LinearConstraint:
     text: str = ""
 
     def satisfied(self, p: ExponentPair) -> bool:
-        v = self.form(p)
-        if self.op == "<":
-            return v < 0
-        if self.op == "<=":
-            return v <= 0
-        if self.op == ">":
-            return v > 0
-        if self.op == ">=":
-            return v >= 0
-        return v == 0
+        return _COMPARATORS[self.op](self.form(p), 0)
 
     def __str__(self) -> str:
         return self.text or f"{_format_linear(self.form.ck, self.form.cl, self.form.const)} {self.op} 0"

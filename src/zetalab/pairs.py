@@ -17,6 +17,9 @@ canonical lowest-terms form.
 Process words are read right to left: the word "AAB" applied to a seed
 means B first, then A twice.  This matches the usual composition
 notation AB(0,1) from the exponent-pair literature.
+
+A pair's record is its six PAIR_CSV_HEADER values; PairSet's CSV and
+JSON forms and the CLI's optimize row all read it.
 """
 
 from __future__ import annotations
@@ -37,11 +40,7 @@ ONE = Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise DomainError(f"not an exact rational: {x!r}")
 
@@ -153,6 +152,33 @@ def q_family_pair(q: int) -> ExponentPair:
     )
 
 
+PAIR_CSV_HEADER = "k_num,k_den,l_num,l_den,word,epsilon"
+_COLUMNS = PAIR_CSV_HEADER.split(",")
+
+
+def _record(p: ExponentPair) -> tuple:
+    """The PAIR_CSV_HEADER values of p, in header order."""
+    return (p.k.numerator, p.k.denominator, p.l.numerator, p.l.denominator,
+            p.word, p.carries_epsilon)
+
+
+def pair_cells(p: ExponentPair) -> list[str]:
+    """p's PAIR_CSV_HEADER cells as CSV strings, the flag as true/false.
+    A word is over {A, B}, so no cell needs quoting."""
+    *head, epsilon = _record(p)
+    return [str(v) for v in head] + ["true" if epsilon else "false"]
+
+
+def _from_record(row) -> ExponentPair:
+    """The pair of a JSON record (ints, a bool flag) or a CSV row (strings)."""
+    return ExponentPair(
+        k=Fraction(int(row["k_num"]), int(row["k_den"])),
+        l=Fraction(int(row["l_num"]), int(row["l_den"])),
+        word=row["word"],
+        carries_epsilon=row["epsilon"] in (True, "true"),
+    )
+
+
 class PairSet:
     """An ordered collection of exponent pairs, deduplicated by (k, l).
 
@@ -193,65 +219,19 @@ class PairSet:
         return self.keys() == other.keys()
 
     def to_csv(self) -> str:
-        """CSV with header k_num,k_den,l_num,l_den,word,epsilon (LF endings)."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["k_num", "k_den", "l_num", "l_den", "word", "epsilon"])
-        for p in self:
-            w.writerow(
-                [
-                    p.k.numerator,
-                    p.k.denominator,
-                    p.l.numerator,
-                    p.l.denominator,
-                    p.word,
-                    "true" if p.carries_epsilon else "false",
-                ]
-            )
-        return buf.getvalue()
+        """CSV with header PAIR_CSV_HEADER (LF endings)."""
+        return "".join(",".join(row) + "\n" for row in [_COLUMNS, *map(pair_cells, self)])
 
     @classmethod
     def from_csv(cls, text: str) -> "PairSet":
-        rows = list(csv.DictReader(io.StringIO(text)))
-        out = cls()
-        for row in rows:
-            out.add(
-                ExponentPair(
-                    k=Fraction(int(row["k_num"]), int(row["k_den"])),
-                    l=Fraction(int(row["l_num"]), int(row["l_den"])),
-                    word=row["word"],
-                    carries_epsilon=row["epsilon"] == "true",
-                )
-            )
-        return out
+        return cls(map(_from_record, csv.DictReader(io.StringIO(text))))
 
     def to_json(self) -> str:
-        records = [
-            {
-                "k_num": p.k.numerator,
-                "k_den": p.k.denominator,
-                "l_num": p.l.numerator,
-                "l_den": p.l.denominator,
-                "word": p.word,
-                "epsilon": p.carries_epsilon,
-            }
-            for p in self
-        ]
-        return json.dumps(records, indent=2)
+        return json.dumps([dict(zip(_COLUMNS, _record(p))) for p in self], indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "PairSet":
-        out = cls()
-        for row in json.loads(text):
-            out.add(
-                ExponentPair(
-                    k=Fraction(row["k_num"], row["k_den"]),
-                    l=Fraction(row["l_num"], row["l_den"]),
-                    word=row["word"],
-                    carries_epsilon=bool(row["epsilon"]),
-                )
-            )
-        return out
+        return cls(map(_from_record, json.loads(text)))
 
 
 def enumerate_pairs(seeds: PairSet | Iterable[ExponentPair], max_word_length: int) -> PairSet:

@@ -9,7 +9,9 @@ any command produce the same bytes.
 
 zeta_row is the one builder of ZETA_CSV_HEADER rows.  Each zeta harness
 has one point function returning (row, figure): afe_row, afe2_row and
-smooth_row serve both the scan and the single-point CLI command.
+smooth_row serve both the scan and the single-point CLI command.  The
+afe and smooth bound columns are fixed shapes, AFE_BOUND and
+SMOOTH_BOUND * Y^{1/2 - sigma}; nothing here compares them with a residual.
 """
 
 from __future__ import annotations
@@ -47,8 +49,11 @@ from .zeta import (
 )
 
 ZETA_CSV_HEADER = "sigma,t,x_or_Y,value_re,value_im,residual,bound,ratio"
-PAIR_CSV_HEADER = "k_num,k_den,l_num,l_den,word,epsilon"
+PAIR_CSV_HEADER = pairs_mod.PAIR_CSV_HEADER
 MOMENT_CSV_HEADER = "sigma,j,T,value,error_estimate,panels"
+
+AFE_BOUND = 10.0
+SMOOTH_BOUND = 10.0
 
 
 def fmt_float(x: float) -> str:
@@ -114,17 +119,16 @@ def fe_check_rows(
 
 
 def afe_row(
-    sigma: float, t: float, cutoff: float, settings: EvalSettings, residual_limit: float
+    sigma: float, t: float, cutoff: float, settings: EvalSettings
 ) -> tuple[list[str], float]:
     """The truncated series sum_{n <= cutoff} n^{-s} at s = sigma + it;
-    returns (row, residual), the bound column being residual_limit."""
+    returns (row, residual), the bound column being AFE_BOUND."""
     value, residual = afe_simple(complex(sigma, t), cutoff, settings)
-    return zeta_row(sigma, t, cutoff, value, residual, residual_limit), residual
+    return zeta_row(sigma, t, cutoff, value, residual, AFE_BOUND), residual
 
 
 def afe_scan_rows(
     settings: EvalSettings,
-    residual_limit: float,
     t_blocks: Sequence[float] = (100.0, 1000.0),
     sigmas: Sequence[float] = (0.5, 0.75, 1.0),
     points: int = 7,
@@ -132,11 +136,11 @@ def afe_scan_rows(
     """Truncated-series residuals over t in [T, 2T] with cutoff 2T.
 
     The residual contract is O(1) with an unspecified constant; rows
-    carry residual/limit so a scan is judged against the configured
-    limit (default 10), nothing sharper.
+    carry residual/AFE_BOUND, and the returned worst residual is what
+    acceptance holds to 10, nothing sharper.
     """
     scan = [
-        afe_row(sigma, float(t), 2 * big_t, settings, residual_limit)
+        afe_row(sigma, float(t), 2 * big_t, settings)
         for big_t in t_blocks
         for sigma in sigmas
         for t in np.linspace(big_t, 2 * big_t, points)
@@ -165,13 +169,11 @@ def afe2_row(
     return zeta_row(sigma, t, x, value, residual, bound), residual / bound
 
 
-def afe2_scan_rows(
-    settings: EvalSettings, ratio_limit: float
-) -> tuple[list[list[str]], float]:
+def afe2_scan_rows(settings: EvalSettings) -> tuple[list[list[str]], float]:
     """Two-sum representation residuals over the 50-point grid.
 
-    Returns (rows, worst residual/bound ratio); the configured limit
-    (default 50) is what acceptance compares against.
+    Returns (rows, worst residual/bound ratio), which acceptance holds
+    to 50.
     """
     grid = afe2_grid()
     table = DivisorTable(int(max(x for _, _, x in grid)) + 1)
@@ -195,26 +197,24 @@ def smooth_residual(
 
 
 def smooth_row(
-    s: complex, smoothing: float, settings: EvalSettings, residual_limit: float,
-    truncation_multiplier=None,
+    s: complex, smoothing: float, settings: EvalSettings, truncation_multiplier=None
 ) -> tuple[list[str], float]:
     """The smoothed series at Y = smoothing and its residual; the bound
-    column is limit * Y^{1/2 - sigma}.  Returns (row, residual)."""
+    column is SMOOTH_BOUND * Y^{1/2 - sigma}.  Returns (row, residual)."""
     s = complex(s)
     value = smoothed_sum(s, smoothing, truncation_multiplier)
     residual = smooth_residual(s, smoothing, settings, value)
-    bound = residual_limit * smoothing ** (0.5 - s.real)
+    bound = SMOOTH_BOUND * smoothing ** (0.5 - s.real)
     return zeta_row(s.real, s.imag, smoothing, value, residual, bound), residual
 
 
 def smooth_scan_rows(
     settings: EvalSettings,
-    residual_limit: float,
     s: complex = 0.75 + 20j,
     smoothings: Sequence[float] = (1e2, 1e3, 1e4),
 ) -> tuple[list[list[str]], list[float]]:
     """Residue-identity residuals at increasing smoothing scales."""
-    scan = [smooth_row(s, y, settings, residual_limit) for y in smoothings]
+    scan = [smooth_row(s, y, settings) for y in smoothings]
     return [row for row, _ in scan], [residual for _, residual in scan]
 
 

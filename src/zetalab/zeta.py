@@ -26,7 +26,8 @@ single exponentiation of
 
 where logsin switches to the form -iz + log(1 - e^{2iz}) + log(i/2) for
 large |Im z| so nothing overflows; branch ambiguities are multiples of
-2 pi i and drop out in the exponential.
+2 pi i and drop out in the exponential.  chi() is the one formula:
+chi_grid applies it to each element of an array.
 
 zeta() and zeta_grid_multi add the same nested tail, _em_tail (below).
 Direct-sum reductions in the scalar paths are exactly rounded, bit for
@@ -342,19 +343,9 @@ def chi(s: complex) -> complex:
     return cmath.exp(log_chi)
 
 
-def chi_grid(s_values: np.ndarray) -> np.ndarray:
-    """Vectorized chi over an array of s, same conventions as chi()."""
-    s = np.asarray(s_values, dtype=np.complex128)
-    z = 0.5 * math.pi * s
-    log_sin = np.empty_like(s)
-    big = z.imag > 10.0
-    small = z.imag < -10.0
-    mid = ~(big | small)
-    log_sin[big] = -1j * z[big] + np.log1p(-np.exp(2j * z[big])) + cmath.log(0.5j)
-    zc = np.conj(z[small])
-    log_sin[small] = np.conj(-1j * zc + np.log1p(-np.exp(2j * zc)) + cmath.log(0.5j))
-    log_sin[mid] = np.log(np.sin(z[mid]))
-    return np.exp(s * LN2 + (s - 1) * LNPI + loggamma(1 - s) + log_sin)
+def chi_grid(s_values) -> np.ndarray:
+    """chi() at each element of an array of s, in the array's shape."""
+    return np.vectorize(chi, otypes=[np.complex128])(s_values)
 
 
 def functional_equation_residual(
@@ -389,8 +380,8 @@ def afe_simple(
     s = complex(s)
     if s.real < 0.5:
         raise DomainError(f"sigma must be >= 1/2 for the truncated series, got {s.real}")
-    if cutoff < 0:
-        raise DomainError("cutoff must be >= 0")
+    if not 0 <= cutoff < math.inf:
+        raise DomainError(f"cutoff must be finite and >= 0, got {cutoff}")
     value = partial_zeta_sum(s, cutoff)
     residual = abs(value - zeta(s, settings))
     return value, residual
@@ -413,15 +404,15 @@ def smoothed_sum(
     is what the residue-identity tests probe.
     """
     s = complex(s)
-    if smoothing < 1:
-        raise DomainError(f"smoothing scale Y must be >= 1, got {smoothing}")
+    if not 1 <= smoothing < math.inf:
+        raise DomainError(f"smoothing scale Y must be finite and >= 1, got {smoothing}")
     floor_mult = math.log(max(abs(s.imag), 10.0)) ** 2
     if truncation_multiplier is None:
         truncation_multiplier = default_smoothing_truncation(s.imag)
-    elif truncation_multiplier < floor_mult:
+    elif not floor_mult <= truncation_multiplier < math.inf:
         raise DomainError(
-            f"truncation multiplier {truncation_multiplier:g} below "
-            f"log^2(max(|t|, 10)) = {floor_mult:g}"
+            f"truncation multiplier {truncation_multiplier:g} must be finite and "
+            f"at least log^2(max(|t|, 10)) = {floor_mult:g}"
         )
     m = int(math.floor(smoothing * truncation_multiplier))
     k = np.arange(1, m + 1, dtype=np.float64)
@@ -453,8 +444,8 @@ def afe_zeta_squared(
     sigma, t = s.real, s.imag
     if not (0 < sigma < 1):
         raise DomainError(f"sigma must lie in (0, 1), got {sigma}")
-    if t < 10:
-        raise DomainError(f"t must be >= 10, got {t}")
+    if not 10 <= t < math.inf:
+        raise DomainError(f"t must be finite and >= 10, got {t}")
     t_over_2pi = t / (2 * math.pi)
     if not (t_over_2pi <= x <= t * t):
         raise DomainError(f"x must lie in [t/(2 pi), t^2] = [{t_over_2pi:g}, {t * t:g}]")

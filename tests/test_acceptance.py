@@ -162,7 +162,7 @@ def test_criterion_6_hyperbola_equivalence():
 @pytest.mark.criterion(7, "smoothed-sum residue identity at s = 3/4 + 20i: residual decreases over Y in {1e2, 1e3, 1e4} and stays within 10 * Y^(1/2 - sigma)")
 def test_criterion_7_smoothed_residue_identity():
     s = 0.75 + 20j
-    rows, residuals = smooth_scan_rows(DEFAULT_SETTINGS, 10.0, s=s)
+    rows, residuals = smooth_scan_rows(DEFAULT_SETTINGS, s=s)
     assert residuals[0] > residuals[1] > residuals[2]
     for y, residual in zip((1e2, 1e3, 1e4), residuals):
         assert residual <= 10.0 * y ** (0.5 - s.real)
@@ -171,9 +171,9 @@ def test_criterion_7_smoothed_residue_identity():
 
 @pytest.mark.criterion(8, "truncated-series residual <= 10 on t in [T, 2T] for T in {100, 1000}; two-sum residual/bound <= 50 on the 50-point grid")
 def test_criterion_8_afe_contracts():
-    _, afe_worst = afe_scan_rows(DEFAULT_SETTINGS, 10.0)
+    _, afe_worst = afe_scan_rows(DEFAULT_SETTINGS)
     assert afe_worst <= 10.0
-    _, afe2_worst = afe2_scan_rows(DEFAULT_SETTINGS, 50.0)
+    _, afe2_worst = afe2_scan_rows(DEFAULT_SETTINGS)
     assert afe2_worst <= 50.0
 
 

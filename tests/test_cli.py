@@ -101,6 +101,19 @@ class TestPairs:
         assert lines[0] == PAIR_CSV_HEADER + ",value"
         assert len(lines) == 2
 
+    def test_optimize_row_leads_with_the_enumerated_pair_row(self, capsys):
+        argv = ["--objective", "(5k + l)/(4k + 1)", "--constraint", "k + l < 1", "--depth", "4"]
+        assert main(["pairs", "optimize"] + argv) == 0
+        cells = out_line(capsys, 1).split(",")
+        assert len(cells) == 7
+        assert main(["pairs", "enumerate", "--depth", "4"]) == 0
+        assert ",".join(cells[:6]) in capsys.readouterr().out.splitlines()[1:]
+
+    def test_json_record_keys_are_the_csv_columns(self, capsys):
+        assert main(["pairs", "enumerate", "--depth", "3", "--format", "json"]) == 0
+        for record in json.loads(capsys.readouterr().out):
+            assert list(record) == PAIR_CSV_HEADER.split(",")
+
     def test_optimize_bad_objective_prints_grammar(self, capsys):
         assert main(["pairs", "optimize", "--objective", "k ^ 2"]) == 1
         err = capsys.readouterr().err
@@ -193,20 +206,20 @@ class TestHarnessParity:
         assert [cells[i] for i in (2, 5, 6, 7)] == ["", "", "", ""]
 
     def test_afe_point_matches_scan(self, capsys):
-        rows, _ = report.afe_scan_rows(DEFAULT_SETTINGS, 10.0)
+        rows, _ = report.afe_scan_rows(DEFAULT_SETTINGS)
         sigma, t, cutoff = rows[10][:3]  # sigma 0.75, t 150, cutoff 200
         argv = ["zeta", "afe", "--sigma", sigma, "--t", t, "--cutoff", cutoff]
         assert self._row(capsys, argv) == ",".join(rows[10])
 
     @pytest.mark.parametrize("index", [14, 15])  # sigma 0.45, t 200; x balanced, then x = t
     def test_afe2_point_matches_scan(self, capsys, index):
-        rows, _ = report.afe2_scan_rows(DEFAULT_SETTINGS, 50.0)
+        rows, _ = report.afe2_scan_rows(DEFAULT_SETTINGS)
         sigma, t, x = report.afe2_grid()[index]
         argv = ["zeta", "afe2", "--sigma", repr(sigma), "--t", repr(t), "--x", repr(x)]
         assert self._row(capsys, argv) == ",".join(rows[index])
 
     def test_smooth_point_matches_scan(self, capsys):
-        rows, _ = report.smooth_scan_rows(DEFAULT_SETTINGS, 10.0)
+        rows, _ = report.smooth_scan_rows(DEFAULT_SETTINGS)
         argv = ["zeta", "smooth", "--sigma", "0.75", "--t", "20", "--Y", "1000"]
         assert self._row(capsys, argv) == ",".join(rows[1])
 
@@ -272,6 +285,30 @@ class TestMoment:
         assert main(["moment", "watt", "--T", "30", "--coeffs", "one,two"]) == 1
 
 
+NON_FINITE_ARGVS = [
+    ["zeta", "afe", "--sigma", "0.75", "--t", "10", "--cutoff", "nan"],
+    ["zeta", "afe", "--sigma", "0.75", "--t", "10", "--cutoff", "inf"],
+    ["zeta", "afe2", "--sigma", "0.75", "--t", "nan"],
+    ["zeta", "afe2", "--sigma", "0.75", "--t", "inf"],
+    ["zeta", "afe2", "--sigma", "0.75", "--t", "50", "--x", "nan"],
+    ["zeta", "smooth", "--sigma", "0.75", "--t", "20", "--Y", "nan"],
+    ["zeta", "smooth", "--sigma", "0.75", "--t", "20", "--Y", "inf"],
+    ["zeta", "smooth", "--sigma", "0.75", "--t", "20", "--Y", "100", "--multiplier", "nan"],
+    ["moment", "split", "--T", "40", "--Y", "nan"],
+    ["moment", "watt", "--T", "30", "--coeffs", "nan"],
+    ["moment", "watt", "--T", "30", "--coeffs", "power:3:nan"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGVS, ids=" ".join)
+def test_non_finite_input_is_a_domain_error(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("zetalab: ")
+    assert "Traceback" not in captured.err
+
+
 class TestConfigPlumbing:
     def test_config_file_and_env(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "lab.cfg"
@@ -285,6 +322,17 @@ class TestConfigPlumbing:
 
     def test_bad_config_path(self, capsys):
         assert main(["--config", "/nonexistent.cfg", "zeta", "eval", "--sigma", "2"]) == 1
+
+    @pytest.mark.parametrize(
+        "key", ["afe_residual_limit", "afe2_ratio_limit", "smooth_residual_limit"]
+    )
+    def test_removed_limit_key_is_refused(self, tmp_path, capsys, key):
+        path = tmp_path / "lab.cfg"
+        path.write_text(f"# limits\n{key} = 10\n")
+        assert main(["--config", str(path), "zeta", "afe", "--grid"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown config key {key!r} (at position 2)" in captured.err
 
     def test_thread_override_rejects_zero(self, capsys):
         assert main(["--threads", "0", "zeta", "eval", "--sigma", "2"]) == 3

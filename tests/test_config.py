@@ -64,9 +64,6 @@ class TestRoundTrip:
             threads=3,
             output_dir="out",
             divisor_table_size=20_000,
-            afe_residual_limit=7.5,
-            afe2_ratio_limit=40.0,
-            smooth_residual_limit=9.0,
         )
         assert parse_config(dump_config(cfg)) == cfg
 
@@ -99,9 +96,6 @@ class TestValidation:
             {"width_scale": 0.0},
             {"threads": 0},
             {"divisor_table_size": 0},
-            {"afe_residual_limit": -1.0},
-            {"afe2_ratio_limit": 0.0},
-            {"smooth_residual_limit": 0.0},
         ],
     )
     def test_rejects(self, kwargs):

@@ -182,6 +182,13 @@ class TestDivisorPhaseSums:
         with pytest.raises(DomainError):
             divisor_phase_sum_hyperbola(u, 1.3)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_t_is_a_domain_error(self, table, t):
+        with pytest.raises(DomainError, match="t must be finite"):
+            divisor_phase_sum_direct(100, t, table)
+        with pytest.raises(DomainError, match="t must be finite"):
+            divisor_phase_sum_hyperbola(100, t)
+
     def test_both_routes_return_complex(self, table):
         for u in (0, 1, 10, 1000):
             assert type(divisor_phase_sum_direct(u, 1.3, table)) is complex

@@ -63,17 +63,17 @@ class TestScans:
         assert worst <= 1e-8
 
     def test_afe_scan_stays_under_limit(self):
-        rows, worst = afe_scan_rows(DEFAULT_SETTINGS, 10.0)
+        rows, worst = afe_scan_rows(DEFAULT_SETTINGS)
         assert len(rows) == 2 * 3 * 7
         assert worst <= 10.0
 
     def test_afe2_scan_stays_under_limit(self):
-        rows, worst = afe2_scan_rows(DEFAULT_SETTINGS, 50.0)
+        rows, worst = afe2_scan_rows(DEFAULT_SETTINGS)
         assert len(rows) == 50
         assert worst <= 1.0  # worst is already a ratio against the bound
 
     def test_smooth_scan_residuals_decrease(self):
-        rows, residuals = smooth_scan_rows(DEFAULT_SETTINGS, 10.0)
+        rows, residuals = smooth_scan_rows(DEFAULT_SETTINGS)
         assert len(rows) == 3
         assert residuals[0] > residuals[1] > residuals[2]
 

@@ -333,6 +333,18 @@ class TestChi:
         for got, s in zip(g, s_values):
             assert abs(got - chi(complex(s))) <= 1e-12 * (1 + abs(got))
 
+    def test_grid_is_scalar_per_element(self):
+        s_values = np.array([[0.3 + 7j, 0.5 + 300j, 0.9 - 40j], [-0.5 + 3j, 0.5, 0.75 + 5e3j]])
+        g = chi_grid(s_values)
+        assert g.shape == (2, 3)
+        assert [repr(complex(v)) for v in g.flat] == [repr(chi(s)) for s in s_values.flat]
+
+    def test_grid_follows_scalar_at_integers(self):
+        for s in (1.0, 2.0):
+            with pytest.raises(PoleError):
+                chi_grid(np.array([0.5 + 1j, s]))
+        assert list(chi_grid(np.array([-2.0, 0.0]))) == [chi(-2.0), chi(0.0)] == [0, 0]
+
 
 class TestFunctionalEquation:
     @pytest.mark.parametrize(
