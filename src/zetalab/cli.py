@@ -44,7 +44,7 @@ from .thresholds import (
     theorem1_sigma,
     theorem2_sigma,
 )
-from .zeta import zeta
+from .zeta import _term_count, zeta
 
 _ff = report.fmt_float
 _fr = report.fmt_rational
@@ -123,7 +123,7 @@ def _parse_coeffs(text: str) -> list[complex]:
             raise ParseError(f"power coeffs must be power:M:exponent, got {text!r}", 0) from None
         if m < 1:
             raise ParseError("power coeffs need M >= 1", 0)
-        return [float(v) ** e for v in range(1, m + 1)]
+        return [float(v) ** e for v in range(1, _term_count(m, "power coeffs") + 1)]
     try:
         return [complex(part.strip()) for part in text.split(",")]
     except ValueError:

@@ -26,9 +26,11 @@ so all three report values or ratios and never pass/fail.
 
 Every result (value, error estimate, panels) comes from one
 Gauss-Kronrod pass over prod_i |zeta(sigma_i+it)|^{p_i}, times a weight
-for split and Watt.  The value is the fsum of the panels' Kronrod sums;
-the estimate is the fsum of |K - G| over panels (see the quadrature
-module) plus the integrand's rounding level
+for split and Watt.  A Dirichlet-polynomial weight |sum_m c_m m^{-it}|^2
+(split's I1, Watt's lhs) is taken by the kernel of the zeta rows,
+zeta._dirichlet_sum, with log_len = log M.  The value is the fsum of
+the panels' Kronrod sums; the estimate is the fsum of |K - G| over
+panels (see the quadrature module) plus the integrand's rounding level
 eps t_max (sum_i p_i log N + 2 log M) |I|, floored at 1e-12 (1 + |I|).
 N is the zeta-sum length at 1/2 + i t_max, whose phases t log n carry
 an absolute error of about eps t log N; M is the length of a
@@ -55,13 +57,13 @@ from .errors import (
 )
 from .quadrature import QuadratureSettings, integrate
 from .zeta import DEFAULT_SETTINGS, EvalSettings, _choose_terms, zeta_grid_multi
+from .zeta import _dirichlet_sum, _term_count
 
 _MAX_T_MOMENT = 1.0e4
 _MAX_T_SPLIT = 2000.0
 _ERROR_FLOOR = 1e-12
 _STALL_TOL = 1e-6
 _PROFILE_STEP = 0.005  # fine-grid step for the short-average profile
-_POLY_BLOCK = 512  # nodes per Dirichlet-polynomial phase block
 _EPS = 2.0**-52
 
 
@@ -126,20 +128,29 @@ def _moment(
     t_max: float,
     quadrature: QuadratureSettings,
     eval_settings: EvalSettings,
+    poly: Optional[np.ndarray] = None,
     weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    weight_terms: int = 1,
 ) -> MomentResult:
     """The moment path of the module docstring: rows = ((sigma_i, p_i), ...)
-    multiply in order, then weight(t); weight_terms is M, 1 if no poly."""
+    multiply in order, then |sum_m poly_m m^{-it}|^2 (M = len(poly)),
+    then weight(t)."""
     if not t_max > t_min:  # empty, or a NaN bound: no panels, as in integrate
         return MomentResult(0.0, 0.0, 0)
     sigmas = [sigma for sigma, _ in rows]
+    log_m = 0.0
+    if poly is not None:
+        log_m = math.log(max(len(poly), 1))
+        # complex coefficients go in as a real and an imaginary row
+        coeff_rows = np.array([poly.real, poly.imag] if np.any(np.imag(poly)) else [poly.real])
 
     def f(ts: np.ndarray) -> np.ndarray:
         zs = zeta_grid_multi(sigmas, ts, eval_settings)
         vals = np.abs(zs[0]) ** rows[0][1]
         for z, (_, power) in zip(zs[1:], rows[1:]):
             vals = vals * np.abs(z) ** power
+        if poly is not None:
+            sums = _dirichlet_sum(coeff_rows, ts, log_m)
+            vals = vals * np.abs(sums[0] if len(sums) == 1 else sums[0] + 1j * sums[1]) ** 2
         return vals if weight is None else vals * weight(ts)
 
     value, panels, quad_error = integrate(f, t_min, t_max, quadrature)
@@ -151,7 +162,7 @@ def _moment(
         )
     terms = _choose_terms(complex(0.5, t_max), eval_settings)
     zeta_level = sum(p for _, p in rows) * _EPS * t_max * math.log(terms)
-    poly_level = 2 * _EPS * t_max * math.log(weight_terms)
+    poly_level = 2 * _EPS * t_max * log_m
     rounding = (zeta_level + poly_level) * abs(value)
     return MomentResult(value, max(quad_error + rounding, _ERROR_FLOOR * scale), panels)
 
@@ -214,19 +225,6 @@ def dyadic_scan(
     return fit_growth(samples)
 
 
-def _dirichlet_poly_sq(
-    ts: np.ndarray, log_m: np.ndarray, coeffs: np.ndarray, sign: float
-) -> np.ndarray:
-    """|sum_m c_m e^{sign i t log m}|^2 at every node, with the phase
-    matrix built _POLY_BLOCK nodes at a time to bound its memory."""
-    out = np.empty(ts.size, dtype=np.float64)
-    for lo in range(0, ts.size, _POLY_BLOCK):
-        block = ts[lo : lo + _POLY_BLOCK]
-        poly = np.exp(sign * 1j * np.outer(block, log_m)) @ coeffs
-        out[lo : lo + block.size] = np.abs(poly) ** 2
-    return out
-
-
 def _critical_profile(t_hi: float, eval_settings: EvalSettings):
     """Cumulative G(u) = integral_0^u |zeta(1/2+iv)| dv on a fine grid,
     returned as an interpolant valid for |u| <= t_hi (odd extension,
@@ -269,21 +267,16 @@ def split_i1_i2(
     if not (0.5 < sigma < 1):
         raise DomainError(f"sigma must lie in (1/2, 1), got {sigma}")
     log_sq = math.log(big_t) ** 2
-    m = int(math.floor(smoothing * log_sq))
-    n = np.arange(1, m + 1, dtype=np.float64)
+    n = np.arange(1, _term_count(smoothing * log_sq, "Y log^2 T") + 1, dtype=np.float64)
     coeffs = np.exp(-n / smoothing) * n ** (-sigma)
-    log_n = np.log(n)
     profile = _critical_profile(big_t + log_sq, eval_settings)
-
-    def poly(ts: np.ndarray) -> np.ndarray:
-        return _dirichlet_poly_sq(ts, log_n, coeffs, -1.0)
 
     def short_average(ts: np.ndarray) -> np.ndarray:
         return (profile(ts + log_sq) - profile(ts - log_sq)) ** 2
 
     crit = [(0.5, 4)]
-    i1 = _moment(crit, 0.0, big_t, quadrature, eval_settings, poly, max(m, 1))
-    i2 = _moment(crit, 0.0, big_t, quadrature, eval_settings, short_average)
+    i1 = _moment(crit, 0.0, big_t, quadrature, eval_settings, coeffs)
+    i2 = _moment(crit, 0.0, big_t, quadrature, eval_settings, weight=short_average)
     factor = smoothing ** (1 - 2 * sigma)
     return i1, MomentResult(
         factor * i2.value, factor * i2.error_estimate, i2.panel_count
@@ -319,12 +312,8 @@ def watt_ratio(
     if big_t == 0 or peak == 0:
         return MomentResult(0.0, 0.0, 0), 0.0, 0.0
     rhs = big_t**1.01 * m_length * (1 + m_length**2 / math.sqrt(big_t)) * peak
-    log_m = np.log(np.arange(1, m_length + 1, dtype=np.float64))
-
-    def poly(ts: np.ndarray) -> np.ndarray:
-        return _dirichlet_poly_sq(ts, log_m, a, 1.0)
-
-    lhs = _moment([(0.5, 4)], 0.0, big_t, quadrature, eval_settings, poly, m_length)
+    # |sum a_m m^{it}|^2 = |sum conj(a_m) m^{-it}|^2
+    lhs = _moment([(0.5, 4)], 0.0, big_t, quadrature, eval_settings, np.conj(a))
     return lhs, rhs, lhs.value / rhs
 
 

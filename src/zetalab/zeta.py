@@ -33,13 +33,10 @@ zeta() and zeta_grid_multi add the same nested tail, _em_tail (below).
 Direct-sum reductions in the scalar paths are exactly rounded, bit for
 bit what math.fsum gives, by the vectorized exact sum of the dirichlet
 module (fsum itself below 512 terms), so the compensation never limits
-accuracy.  The grid
-path (zeta_grid_multi) shares one phase row per cell of width 4/log N
-between the nodes of that cell and shifts it to each node by a Taylor
-polynomial of order K, the smallest K with e^x x^K/K! <= 2^-53 where
-x = max|t - c| (1/2) log N <= 1; the dropped tail is then below the
-rounding of sum n^{-sigma}, and the values agree with the scalar path
-to the eps * |t| * log N level set by the phases' own rounding.
+accuracy.  _dirichlet_sum is the one Dirichlet-polynomial kernel on
+quadrature nodes: a phase row per cell of nodes, shifted to each node by
+a Taylor polynomial.  zeta_grid_multi takes its direct sum there, and
+the moment weights of the moments module take theirs.
 """
 
 from __future__ import annotations
@@ -56,14 +53,14 @@ import numpy as np
 from scipy.special import loggamma
 
 from .dirichlet import DivisorTable, _fsum_complex
-from .errors import DomainError, PoleError, PrecisionError
+from .errors import DomainError, PoleError, PrecisionError, ResourceLimitError
 
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
 
 _MAX_ABS_T = 1.0e6
 _MAX_TERMS = 1 << 24
-_CELL_BLOCK = 64  # cells per phase block: bounds the block at 64 x N
+_CELL_BLOCK = 64  # cells per phase block: bounds the block at 64 x M
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,17 @@ def _choose_terms(s_extreme: complex, settings: EvalSettings) -> int:
     return n
 
 
+def _term_count(length: float, what: str) -> int:
+    """floor(length), or ResourceLimitError past _MAX_TERMS terms."""
+    m = int(math.floor(length))
+    if m > _MAX_TERMS:
+        raise ResourceLimitError(f"{what} asks for {m} terms, beyond {_MAX_TERMS}")
+    return m
+
+
 def _check_domain(s: complex):
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise DomainError(f"s must be finite, got {s}")
     if s == 1:
         raise PoleError("zeta has a pole at s = 1")
     if abs(s.imag) > _MAX_ABS_T:
@@ -200,66 +207,34 @@ def zeta(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
     return value
 
 
-def _taylor_order(x: float) -> int:
-    """Smallest K with e^x x^K / K! <= 2^-53 (K = 1 at x = 0)."""
-    k, bound = 0, math.exp(x)
-    while bound > 2.0**-53:
-        k += 1
-        bound *= x / k
-    return k
+def _dirichlet_sum(coeffs: np.ndarray, ts: np.ndarray, log_len: float) -> np.ndarray:
+    """sum_{n <= M} c_n e^{-it log n} for each real row c of coeffs (R x M)
+    and each node t of a non-empty ts, by a cell-centred Taylor shift (the
+    multi-evaluation idea of Odlyzko-Schoenhage); log_len >= log M.
 
+    The nodes are put on the absolute lattice of cells of width
+    4/log_len (one cell when log_len = 0); a cell's centre c is the
+    midpoint of its nodes' range, so every offset h = t - c has
+    |h| <= 2/log_len.  With u_n = log n - (1/2) log_len each cell forms
 
-def zeta_grid_multi(
-    sigmas: Sequence[float],
-    ts: np.ndarray,
-    settings: EvalSettings = DEFAULT_SETTINGS,
-) -> np.ndarray:
-    """zeta(sigma_i + i t_j) for every sigma in sigmas and t in ts.
-
-    The direct sum D(t) = sum_{n<N} n^{-sigma} e^{-it log n} is taken by
-    a cell-centred Taylor shift (the multi-evaluation idea of
-    Odlyzko-Schoenhage).  The nodes are put on the absolute lattice of
-    cells of width 4/log N; a cell's centre c is the midpoint of its
-    nodes' range, so every offset h = t - c has |h| <= 2/log N.  With
-    u_n = log n - (1/2) log N each cell forms the moments
-
-        M_k = sum_n n^{-sigma} e^{-ic log n} u_n^k / k!,   k < K,
+        M_k = sum_n c_n e^{-ic log n} u_n^k / k!,   k < K,
 
     by one phase row and real matrix products, and each node gets
 
-        D(t) = e^{-ih (1/2) log N} sum_{k<K} (-ih)^k M_k.
+        D(t) = e^{-ih (1/2) log_len} sum_{k<K} (-ih)^k M_k.
 
-    With x = max|h| (1/2) log N <= 1 over the call, K is the smallest
-    integer with e^x x^K / K! <= 2^-53 (K <= 19), so the dropped tail is
-    below the rounding of sum_n n^{-sigma}.  A lone node in its cell
-    has h = 0 and, when every cell is lone, K = 1: the plain direct sum.
-    The phase c log n is rounded like t log n, so values agree with
-    zeta() to the eps * t * log N level.  The cells depend only on the
-    nodes of this call; rows come back in the order of `sigmas`.
+    |u_n| <= (1/2) log_len, so with x = max|h| (1/2) log_len <= 1 and K
+    the smallest integer with e^x x^K / K! <= 2^-53 (K <= 19) the dropped
+    tail is below the rounding of sum_n |c_n|.  When every cell is lone,
+    h = 0 and K = 1: the plain direct sum; at M = 1 with log_len = 0 the
+    result is c_1 exactly.  The phase c log n is rounded like t log n, so
+    values carry a direct sum's eps * |t| * log M level.  The cells
+    depend only on the nodes of this call.
     """
-    ts = np.asarray(ts, dtype=np.float64)
-    if ts.size == 0:
-        return np.zeros((len(sigmas), 0), dtype=np.complex128)
-    t_extreme = float(np.max(np.abs(ts)))
-    sig_min = min(sigmas)
-    for sig in sigmas:
-        if sig < -1:
-            raise DomainError(f"sigma < -1 unsupported, got {sig}")
-    if t_extreme > _MAX_ABS_T:
-        raise DomainError(f"|t| > {_MAX_ABS_T:g} unsupported")
-    if any(sig == 1 for sig in sigmas) and np.any(ts == 0):
-        raise PoleError("zeta has a pole at s = 1")
-    n = _choose_terms(complex(sig_min, t_extreme), settings)
-    q = settings.bernoulli_order
-    logn = math.log(n)
-    half_logn = 0.5 * logn
-    logk = np.log(np.arange(1, n, dtype=np.float64))
-
-    out = np.empty((len(sigmas), ts.size), dtype=np.complex128)
-    for row, sig in enumerate(sigmas):
-        out[row] = _em_tail(sig + 1j * ts, n, q)
-
-    cells, cell_of = np.unique(np.floor(ts / (4 / logn)), return_inverse=True)
+    logk = np.log(np.arange(1, coeffs.shape[1] + 1, dtype=np.float64))
+    half_len = 0.5 * log_len
+    width = 4 / log_len if log_len > 0 else math.inf
+    cells, cell_of = np.unique(np.floor(ts / width), return_inverse=True)
     n_cells = cells.size
     lo = np.full(n_cells, np.inf)
     hi = np.full(n_cells, -np.inf)
@@ -267,16 +242,20 @@ def zeta_grid_multi(
     np.maximum.at(hi, cell_of, ts)
     centres = 0.5 * (lo + hi)
     h = ts - centres[cell_of]
-    order = _taylor_order(float(np.max(np.abs(h))) * half_logn)
+    x = float(np.max(np.abs(h))) * half_len
+    order, bound = 0, math.exp(x)
+    while bound > 2.0**-53:
+        order += 1
+        bound *= x / order
 
-    u = logk - half_logn
+    u = logk - half_len
     vander = np.empty((order, logk.size))  # row k: u^k / k!
     vander[0] = 1.0
     for k in range(1, order):
         np.multiply(vander[k - 1], u, out=vander[k])
         vander[k] /= k
-    weighted = [(vander * np.exp(-sig * logk)).T for sig in sigmas]
-    moments = np.empty((len(sigmas), order, n_cells), dtype=np.complex128)
+    weighted = [(vander * row).T for row in coeffs]
+    moments = np.empty((len(coeffs), order, n_cells), dtype=np.complex128)
     for first in range(0, n_cells, _CELL_BLOCK):
         c = centres[first : first + _CELL_BLOCK]
         trig = np.empty((2, c.size, logk.size))
@@ -290,16 +269,46 @@ def zeta_grid_multi(
             block.real = prod[:, : c.size]
             block.imag = -prod[:, c.size :]
 
-    shift = np.exp(-1j * half_logn * h)
-    for row in range(len(sigmas)):
-        m = moments[row]
+    shift = np.exp(-1j * half_len * h)
+    out = np.empty((len(coeffs), ts.size), dtype=np.complex128)
+    for row, m in enumerate(moments):
         direct = m[order - 1][cell_of]
         for k in range(order - 2, -1, -1):
             direct *= -1j  # times -ih: -i exactly, then h
             direct *= h
             direct += m[k][cell_of]
-        direct *= shift
-        out[row] += direct
+        np.multiply(direct, shift, out=out[row])
+    return out
+
+
+def zeta_grid_multi(
+    sigmas: Sequence[float],
+    ts: np.ndarray,
+    settings: EvalSettings = DEFAULT_SETTINGS,
+) -> np.ndarray:
+    """zeta(sigma_i + i t_j) for every sigma in sigmas and t in ts, rows
+    in the order of `sigmas`: _dirichlet_sum of the rows n^{-sigma},
+    n < N, with log_len = log N, plus _em_tail.  The values agree with
+    zeta() to the eps * |t| * log N level of the phases t log n."""
+    ts = np.asarray(ts, dtype=np.float64)
+    if not (np.all(np.isfinite(ts)) and all(math.isfinite(sig) for sig in sigmas)):
+        raise DomainError("s must be finite, got a non-finite sigma or t")
+    if ts.size == 0:
+        return np.zeros((len(sigmas), 0), dtype=np.complex128)
+    t_extreme = float(np.max(np.abs(ts)))
+    sig_min = min(sigmas)
+    for sig in sigmas:
+        if sig < -1:
+            raise DomainError(f"sigma < -1 unsupported, got {sig}")
+    if t_extreme > _MAX_ABS_T:
+        raise DomainError(f"|t| > {_MAX_ABS_T:g} unsupported")
+    if any(sig == 1 for sig in sigmas) and np.any(ts == 0):
+        raise PoleError("zeta has a pole at s = 1")
+    n = _choose_terms(complex(sig_min, t_extreme), settings)
+    logk = np.log(np.arange(1, n, dtype=np.float64))
+    out = _dirichlet_sum(np.exp(-np.outer(sigmas, logk)), ts, math.log(n))
+    for row, sig in enumerate(sigmas):
+        out[row] += _em_tail(sig + 1j * ts, n, settings.bernoulli_order)
     if not np.all(np.isfinite(out)):
         raise PrecisionError("non-finite zeta value in grid evaluation")
     return out
@@ -360,7 +369,7 @@ def functional_equation_residual(
 
 def partial_zeta_sum(s: complex, cutoff: float) -> complex:
     """sum_{n <= cutoff} n^{-s}, exactly-rounded reduction."""
-    m = int(math.floor(cutoff))
+    m = _term_count(cutoff, "cutoff")
     if m < 1:
         return 0j
     logk = np.log(np.arange(1, m + 1, dtype=np.float64))
@@ -414,7 +423,7 @@ def smoothed_sum(
             f"truncation multiplier {truncation_multiplier:g} must be finite and "
             f"at least log^2(max(|t|, 10)) = {floor_mult:g}"
         )
-    m = int(math.floor(smoothing * truncation_multiplier))
+    m = _term_count(smoothing * truncation_multiplier, "Y times the truncation multiplier")
     k = np.arange(1, m + 1, dtype=np.float64)
     terms = np.exp(-k / smoothing - complex(s) * np.log(k))
     return _fsum_complex(terms)

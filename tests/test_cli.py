@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, CSV schemas, byte determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -307,6 +308,41 @@ def test_non_finite_input_is_a_domain_error(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("zetalab: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "eval", "--sigma", "nan"],
+        ["zeta", "eval", "--sigma", "0.5", "--t", "nan"],
+        ["zeta", "afe", "--sigma", "nan", "--t", "10", "--cutoff", "5"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_s_names_the_cause(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "s must be finite" in captured.err
+    assert "cannot reach target" not in captured.err
+
+
+# one past the 2^24-term cap; each is refused before its terms are allocated
+_SPLIT_Y = (2**24 + 1.5) / math.log(96.0) ** 2
+TERM_CAP_ARGVS = [
+    ["zeta", "afe", "--sigma", "0.75", "--t", "10", "--cutoff", "16777217"],
+    ["zeta", "smooth", "--sigma", "0.75", "--t", "10", "--Y", "1048576.0625", "--multiplier", "16"],
+    ["moment", "split", "--T", "96", "--Y", repr(_SPLIT_Y)],
+    ["moment", "watt", "--T", "30", "--coeffs", "power:16777217:-0.5"],
+]
+
+
+@pytest.mark.parametrize("argv", TERM_CAP_ARGVS, ids=" ".join)
+def test_length_beyond_term_cap_is_a_resource_limit(argv, capsys):
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("zetalab: resource limit: ")
 
 
 class TestConfigPlumbing:

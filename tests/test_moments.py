@@ -21,7 +21,8 @@ from zetalab import (
     watt_ratio,
 )
 from zetalab.errors import ResourceLimitError
-from zetalab.moments import _dirichlet_poly_sq
+from zetalab.quadrature import integrate
+from zetalab.zeta import _dirichlet_sum, zeta_grid_multi
 
 # Independent oracle: fourth moment times |zeta(3/4+it)|^2 over [0, 100],
 # computed with mpmath zeta at 30 digits under composite Simpson with
@@ -139,15 +140,33 @@ class TestOnePassEstimate:
             assert abs(sample - whole.value) <= whole.error_estimate
 
 
-def test_dirichlet_poly_blocks_match_one_matrix():
-    # 1300 nodes span three phase blocks, the last one partial
-    ts = np.linspace(0.0, 300.0, 1300)
-    log_m = np.log(np.arange(1.0, 41.0))
-    coeffs = np.arange(1.0, 41.0) ** -0.75 + 0.25j
-    for sign in (1.0, -1.0):
-        whole = np.abs(np.exp(sign * 1j * np.outer(ts, log_m)) @ coeffs) ** 2
-        blocked = _dirichlet_poly_sq(ts, log_m, coeffs, sign)
-        np.testing.assert_allclose(blocked, whole, rtol=40 * 4 * 2.0**-52)
+def test_dirichlet_sum_matches_dense_phase_matrix():
+    # The shared kernel against sum_m c_m e^{-it log m} from one dense
+    # phase matrix, on |P|^2 as the moment weights use it.  Complex
+    # coefficients go in as a real and an imaginary row; the + sign is
+    # reached through conj(c), as watt_ratio does.  The tolerance is the
+    # phase level 4 eps |t| log M (sum |c_m|)^2, with |t| + 1 in place of
+    # |t| for the rounding of the sums themselves near t = 0; at M = 1
+    # it is 0, and the kernel must return c exactly.
+    rng = np.random.default_rng(7)
+    heights = [np.linspace(-300.0, 300.0, 1301), 1e4 + np.linspace(-3.0, 3.0, 401)]
+    for m_len in (1, 2, 40, 115):
+        log_m = np.log(np.arange(1.0, m_len + 1))
+        real = np.arange(1.0, m_len + 1) ** -0.75
+        for coeffs in (real, real * np.exp(2j * np.pi * rng.random(m_len))):
+            for sign in (-1.0, 1.0):
+                c = coeffs if sign < 0 else np.conj(coeffs)
+                rows = np.array([c.real, c.imag] if np.iscomplexobj(c) else [c])
+                for ts in heights:
+                    sums = _dirichlet_sum(rows, ts, math.log(m_len))
+                    got = np.abs(sums[0] if len(rows) == 1 else sums[0] + 1j * sums[1]) ** 2
+                    dense = np.abs(np.exp(sign * 1j * np.outer(ts, log_m)) @ coeffs) ** 2
+                    scale = np.sum(np.abs(coeffs)) ** 2
+                    tol = 4 * 2.0**-52 * (1 + np.abs(ts)) * math.log(m_len) * scale
+                    assert np.all(np.abs(got - dense) <= tol), (m_len, sign, ts[0])
+    ts = np.concatenate(heights)
+    single = np.array([[0.75], [-2.5]])
+    assert np.array_equal(_dirichlet_sum(single, ts, 0.0), np.broadcast_to(single, (2, ts.size)))
 
 
 class TestGrowthFit:
@@ -213,6 +232,29 @@ class TestSplit:
         with pytest.raises(ResourceLimitError):  # the guard precedes the sigma check
             split_i1_i2(5000.0, 0.5, 8.0)
 
+    def test_i1_against_dense_weight(self):
+        # |sum_n e^{-n/Y} n^{-sigma-it}|^2 from one dense phase matrix,
+        # integrated over the same panels
+        big_t, sigma, smoothing = 40.0, 0.75, 40.0**0.375
+        n = np.arange(1.0, math.floor(smoothing * math.log(big_t) ** 2) + 1)
+        coeffs = np.exp(-n / smoothing) * n**-sigma
+
+        def dense(ts):
+            poly = np.exp(-1j * np.outer(ts, np.log(n))) @ coeffs
+            return np.abs(zeta_grid_multi([0.5], ts)[0]) ** 4 * np.abs(poly) ** 2
+
+        value, panels, _ = integrate(dense, 0.0, big_t, QuadratureSettings())
+        i1, _ = split_i1_i2(big_t, sigma, smoothing)
+        assert i1.panel_count == panels
+        assert abs(i1.value - value) <= i1.error_estimate
+
+    def test_polynomial_beyond_term_cap(self):
+        log_sq = math.log(96.0) ** 2
+        smoothing = (2**24 + 1.5) / log_sq
+        assert math.floor(smoothing * log_sq) == 2**24 + 1
+        with pytest.raises(ResourceLimitError):
+            split_i1_i2(96.0, 0.75, smoothing)
+
     def test_non_finite_t(self):
         with pytest.raises(DomainError):
             split_i1_i2(math.nan, 0.75, 8.0)
@@ -237,6 +279,23 @@ class TestWatt:
         lhs, _, _ = watt_ratio(60.0, 1, [1.0])
         plain = integrate_moment(MomentSpec(0.5, 0, 0.0, 60.0))
         assert lhs == plain
+
+    def test_complex_coefficients_against_dense_weight(self):
+        # |sum_m a_m m^{+it}|^2 from one dense phase matrix, integrated over
+        # the same panels; the kernel reaches the + sign through conj(a_m),
+        # and conj(a) itself gives a different integral
+        a = np.array([1.0, 0.5j, -0.25 + 0.3j, 0.1])
+        log_m = np.log(np.arange(1.0, 5.0))
+
+        def dense(ts):
+            poly = np.exp(1j * np.outer(ts, log_m)) @ a
+            return np.abs(zeta_grid_multi([0.5], ts)[0]) ** 4 * np.abs(poly) ** 2
+
+        value, panels, _ = integrate(dense, 0.0, 120.0, QuadratureSettings())
+        lhs, _, _ = watt_ratio(120.0, 4, a)
+        assert lhs.panel_count == panels
+        assert abs(lhs.value - value) <= lhs.error_estimate
+        assert abs(watt_ratio(120.0, 4, np.conj(a))[0].value - value) > 0.01 * value
 
     def test_rhs_formula(self):
         _, rhs, _ = watt_ratio(100.0, 2, [0.0, 3.0])

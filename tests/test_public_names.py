@@ -1,9 +1,12 @@
-"""Every public name the package exports, and every function the
-benchmark's tracer wraps, resolves on the installed package.
+"""Every public name the package exports, every function the benchmark's
+tracer wraps, and every layer attribute its workloads and probes reach,
+resolves on the installed package.
 
-perfbench/spans.py is read with ast, not imported, and never changed:
-its Tracer calls getattr on each (module, attribute) of LAYER_FUNCTIONS,
-so a renamed or deleted function would break every traced benchmark run.
+perfbench/spans.py, workloads.py and probes.py are read with ast, not
+imported, and never changed: the Tracer calls getattr on each (module,
+attribute) of LAYER_FUNCTIONS, and the operations call `<layer>.<name>`
+on the modules of LAYER_MODULES, so a renamed or deleted name would
+break benchmark runs rather than the tests.
 """
 
 import ast
@@ -13,18 +16,44 @@ from pathlib import Path
 import pytest
 
 import zetalab
+from zetalab import QuadratureSettings
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+CALLERS = (PERFBENCH / "workloads.py", PERFBENCH / "probes.py")
 
 
-def _layer_functions() -> list[tuple[str, str]]:
-    for node in ast.parse(SPANS.read_text(encoding="utf-8")).body:
+def _constant(path: Path, name: str) -> ast.expr:
+    """The value node of the module-level assignment to name in path."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
         target = node.target if isinstance(node, ast.AnnAssign) else None
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
-        if isinstance(target, ast.Name) and target.id == "LAYER_FUNCTIONS":
-            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
-    raise AssertionError(f"no LAYER_FUNCTIONS in {SPANS}")
+        if isinstance(target, ast.Name) and target.id == name:
+            return node.value
+    raise AssertionError(f"no {name} in {path}")
+
+
+def _layer_functions() -> list[tuple[str, str]]:
+    entries = _constant(SPANS, "LAYER_FUNCTIONS").elts
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in entries]
+
+
+def _layer_attributes() -> list[tuple[str, str]]:
+    """Each `<layer>.<name>` in the benchmark's operations, where <layer>
+    is a name or attribute spelled like a module of LAYER_MODULES
+    (`zl.zeta.zeta_grid_multi`, or `moments.MomentSpec` after
+    `moments = self.zl.moments`)."""
+    layers = {elt.value for elt in _constant(CALLERS[0], "LAYER_MODULES").elts}
+    found = set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                owner = node.value
+                spelled = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+                if spelled in layers:
+                    found.add((f"zetalab.{spelled}", node.attr))
+    return sorted(found)
 
 
 def _resolve(module: str, dotted: str):
@@ -37,6 +66,22 @@ def _resolve(module: str, dotted: str):
 @pytest.mark.parametrize("entry", _layer_functions(), ids=".".join)
 def test_traced_function_resolves(entry):
     assert callable(_resolve(*entry))
+
+
+@pytest.mark.parametrize("entry", _layer_attributes(), ids=".".join)
+def test_benchmark_attribute_resolves(entry):
+    _resolve(*entry)
+
+
+def test_benchmark_reaches_the_layers():
+    # a parser that matched nothing would make the test above vacuous
+    assert ("zetalab.moments", "integrate_moment") in _layer_attributes()
+    assert ("zetalab.quadrature", "QuadratureSettings") in _layer_attributes()
+
+
+def test_thread_setting_constructs():
+    # perfbench's threads operation and thread probe build this
+    assert QuadratureSettings(threads=2).threads == 2
 
 
 def test_package_all_resolves():

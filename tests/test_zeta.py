@@ -21,6 +21,7 @@ from zetalab import (
     EvalSettings,
     PoleError,
     PrecisionError,
+    ResourceLimitError,
     afe_simple,
     afe_zeta_squared,
     chi,
@@ -77,6 +78,14 @@ class TestZetaValues:
             zeta(0.5 + 2e6j)
         with pytest.raises(DomainError):
             zeta(-1.5)
+
+    @pytest.mark.parametrize(
+        "s", [math.nan, complex(0.5, math.nan), complex(math.nan, 10.0), complex(0.5, math.inf)]
+    )
+    def test_non_finite_s_is_a_domain_error(self, s):
+        # not the PrecisionError of an unreachable target
+        with pytest.raises(DomainError, match="s must be finite"):
+            zeta(s)
 
     def test_precision_error_when_terms_fixed_too_small(self):
         bad = EvalSettings(euler_maclaurin_terms=2, bernoulli_order=2)
@@ -184,6 +193,14 @@ class TestZetaGrid:
             zeta_grid_multi([1.0], np.array([0.0, 5.0]))
         with pytest.raises(DomainError):
             zeta_grid_multi([-2.0], np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "sigmas, ts",
+        [([0.5], [1.0, math.nan]), ([0.5, math.nan], [1.0]), ([0.5], [-math.inf])],
+    )
+    def test_non_finite_s_is_a_domain_error(self, sigmas, ts):
+        with pytest.raises(DomainError, match="s must be finite"):
+            zeta_grid_multi(sigmas, np.array(ts))
 
 
 GRID_SIGMAS = (0.5, 0.75, 1.0)
@@ -386,6 +403,13 @@ class TestAfeSimple:
     def test_partial_sum_empty(self):
         assert partial_zeta_sum(2.0, 0.5) == 0
 
+    def test_cutoff_beyond_term_cap(self):
+        # refused before anything is allocated: the cap is 2^24 terms
+        with pytest.raises(ResourceLimitError):
+            afe_simple(0.75 + 10j, 2.0**24 + 1)
+        with pytest.raises(ResourceLimitError):
+            partial_zeta_sum(2.0, 2.0**24 + 1)
+
 
 class TestSmoothedSum:
     def test_brute_force_y1(self):
@@ -416,6 +440,11 @@ class TestSmoothedSum:
     def test_low_multiplier_rejected(self):
         with pytest.raises(DomainError):
             smoothed_sum(0.5 + 1e4j, 10.0, 25.0)  # needs log^2(1e4) ~ 84.8
+
+    def test_length_beyond_term_cap(self):
+        y, multiplier = 2.0**20 + 1 / 16, 16.0  # Y * multiplier = 2^24 + 1 exactly
+        with pytest.raises(ResourceLimitError):
+            smoothed_sum(0.75 + 10j, y, multiplier)
 
 
 class TestAfeZetaSquared:
