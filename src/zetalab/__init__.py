@@ -68,13 +68,8 @@ from .zeta import (
 )
 from .dirichlet import (
     DivisorTable,
-    SumWindow,
     divisor_phase_sum_direct,
     divisor_phase_sum_hyperbola,
-    partial_summation_window,
-    phase_sum,
-    s1_s2_bound_check,
-    vdc_bound,
 )
 from .quadrature import QuadratureSettings, integrate, panel_edges, panel_width
 from .moments import (
@@ -114,7 +109,6 @@ __all__ = [
     "QuadratureSettings",
     "ResourceLimitError",
     "SEED_PAIRS",
-    "SumWindow",
     "ZetalabError",
     "a_process",
     "afe_simple",
@@ -143,10 +137,7 @@ __all__ = [
     "parse_config",
     "parse_constraint",
     "parse_objective",
-    "partial_summation_window",
-    "phase_sum",
     "q_family_pair",
-    "s1_s2_bound_check",
     "sixth_moment_probe",
     "smoothed_sum",
     "split_i1_i2",
@@ -154,7 +145,6 @@ __all__ = [
     "theorem1_sigma",
     "theorem2_branches",
     "theorem2_sigma",
-    "vdc_bound",
     "watt_ratio",
     "y_cutoff_exponent",
     "zeta",

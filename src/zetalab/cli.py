@@ -38,8 +38,9 @@ from .objectives import (
     parse_objective,
     optimize,
 )
-from .pairs import SEED_PAIRS, ExponentPair, enumerate_pairs, pair_cells, q_family_pair
+from .pairs import SEED_PAIRS, ExponentPair, enumerate_pairs, pair_cells
 from .thresholds import (
+    q_family_optimum,
     theorem1_pair_sigma,
     theorem1_sigma,
     theorem2_sigma,
@@ -151,18 +152,9 @@ def cmd_pairs_optimize(args, config: Config) -> int:
         raise ParseError("choose either --objective or --theorem/--q-range", 0)
     if args.q_range:
         pair_fn, _ = _threshold_fn(args.theorem)
-        rows = []
-        best = None
-        for q in _parse_q_range(args.q_range):
-            p = q_family_pair(q)
-            sigma = pair_fn(p)
-            rows.append((q, p, sigma))
-            if best is None or (sigma, q) < best:
-                best = (sigma, q)
-        if best is None:
-            raise EmptyResultError("empty q-range")
+        rows, best = q_family_optimum(pair_fn, _parse_q_range(args.q_range))
         out = [
-            [str(q), _fr(p.k), _fr(p.l), _fr(sigma), "true" if q == best[1] else "false"]
+            [str(q), _fr(p.k), _fr(p.l), _fr(sigma), "true" if q == best[0] else "false"]
             for q, p, sigma in rows
         ]
         _emit(report.emit_csv("q,k,l,sigma,selected", out))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 Rational = Fraction
 
@@ -234,12 +234,21 @@ class PairSet:
         return cls(map(_from_record, json.loads(text)))
 
 
+# Closure size refused by enumerate_pairs.  From the trivial seed the
+# closure grows about 1.62x per level, to 46,369 pairs at depth 23 and
+# about 1.7e8 at depth 40.  Measured on a 2-core x86-64 box, Python 3.11:
+# reaching the cap costs 1.4 s CPU and 25 MB, and `pairs enumerate
+# --depth 23` takes 1.8 s and 46 MB as CSV, 2.1 s and 95 MB as JSON.
+_MAX_PAIRS = 50_000
+
+
 def enumerate_pairs(seeds: PairSet | Iterable[ExponentPair], max_word_length: int) -> PairSet:
     """Closure of the seeds under all A/B words of length <= max_word_length.
 
     Breadth-first over word length, so every pair keeps a shortest
     generating word; within a level the parents are visited in sorted
     (k, l) order with A before B, which fixes ties deterministically.
+    ResourceLimitError as soon as the closure holds more than _MAX_PAIRS.
     """
     if max_word_length < 0:
         raise DomainError("max_word_length must be >= 0")
@@ -253,6 +262,10 @@ def enumerate_pairs(seeds: PairSet | Iterable[ExponentPair], max_word_length: in
             for child in (a_process(p), b_process(p)):
                 if out.add(child):
                     next_frontier.append(child)
+            if len(out) > _MAX_PAIRS:
+                raise ResourceLimitError(
+                    f"A/B closure to depth {max_word_length} exceeds {_MAX_PAIRS} pairs"
+                )
         if not next_frontier:
             break
         frontier = sorted(next_frontier, key=ExponentPair.key)

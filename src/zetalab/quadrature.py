@@ -39,6 +39,7 @@ from .errors import DomainError, ResourceLimitError
 
 _CHUNK = 256  # panels per work unit; fixed so threading cannot repartition
 _MAX_PANELS = 5_000_000
+_MAX_THREADS = 64  # integrate starts min(threads, chunks) OS threads
 _CAP_END = math.e**2 - 2  # panel_width sits at its 0.25 cap below this t
 
 
@@ -60,6 +61,10 @@ class QuadratureSettings:
             raise DomainError("width_scale must lie in (0, 1]")
         if self.threads < 1:
             raise DomainError("threads must be >= 1")
+        if self.threads > _MAX_THREADS:
+            raise ResourceLimitError(
+                f"threads = {self.threads} exceeds the {_MAX_THREADS} thread cap"
+            )
 
     def halved(self) -> "QuadratureSettings":
         return QuadratureSettings(

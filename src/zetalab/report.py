@@ -236,19 +236,13 @@ def regression_data(config: Config) -> dict:
 
     reference = pairs_mod.SEED_PAIRS["huxley32"]
     superseded = pairs_mod.SEED_PAIRS["huxley89"]
-    family = [(q, pairs_mod.q_family_pair(q)) for q in range(2, 11)]
-    family_rows = [
-        {
-            "q": q,
-            "k": fmt_rational(p.k),
-            "l": fmt_rational(p.l),
-            "sigma": fmt_rational(thresholds.theorem2_sigma(p)),
-        }
-        for q, p in family
-    ]
-    best_q, best_pair = min(
-        family, key=lambda qp: (thresholds.theorem2_sigma(qp[1]), qp[0])
+    family, (best_q, best_pair, best_sigma) = thresholds.q_family_optimum(
+        thresholds.theorem2_sigma, range(2, 11)
     )
+    family_rows = [
+        {"q": q, "k": fmt_rational(p.k), "l": fmt_rational(p.l), "sigma": fmt_rational(sigma)}
+        for q, p, sigma in family
+    ]
 
     enumerated = pairs_mod.enumerate_pairs([pairs_mod.SEED_PAIRS["trivial"]], 4)
     involution_ok = all(
@@ -299,7 +293,7 @@ def regression_data(config: Config) -> dict:
                 "q": best_q,
                 "k": fmt_rational(best_pair.k),
                 "l": fmt_rational(best_pair.l),
-                "sigma": fmt_rational(thresholds.theorem2_sigma(best_pair)),
+                "sigma": fmt_rational(best_sigma),
             },
             "mu_route_sigma": fmt_rational(
                 thresholds.mu_threshold(1, Fraction(32, 205)).value

@@ -28,10 +28,10 @@ the j=1 mu formula coincide identically, which
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from .errors import DomainError, HypothesisError
-from .pairs import HALF, ExponentPair
+from .errors import DomainError, EmptyResultError, HypothesisError
+from .pairs import HALF, ExponentPair, q_family_pair
 
 FIVE_SIXTHS = Fraction(5, 6)
 
@@ -81,6 +81,24 @@ def theorem2_sigma(p: ExponentPair) -> Fraction:
     # (11k+l+1)(8k+1) - (11k+l)(8k+2) = 1 - 3k - l > 0 under the hypothesis
     assert max(first, second) == first, "branch dominance violated"
     return max((p.l - p.k + 1) / 2, first)
+
+
+FamilyRow = tuple[int, ExponentPair, Fraction]
+
+
+def q_family_optimum(
+    sigma_fn: Callable[[ExponentPair], Fraction], qs: Iterable[int]
+) -> tuple[list[FamilyRow], FamilyRow]:
+    """(q, pair, sigma_fn(pair)) for each family member q, in the order
+    of qs, and the optimum among them: the least sigma, ties to the
+    smaller q.  EmptyResultError when qs is empty."""
+    rows = []
+    for q in qs:
+        p = q_family_pair(q)
+        rows.append((q, p, sigma_fn(p)))
+    if not rows:
+        raise EmptyResultError("empty q-range")
+    return rows, min(rows, key=lambda row: (row[2], row[0]))
 
 
 class MuThreshold(NamedTuple):

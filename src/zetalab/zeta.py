@@ -289,22 +289,19 @@ def zeta_grid_multi(
     """zeta(sigma_i + i t_j) for every sigma in sigmas and t in ts, rows
     in the order of `sigmas`: _dirichlet_sum of the rows n^{-sigma},
     n < N, with log_len = log N, plus _em_tail.  The values agree with
-    zeta() to the eps * |t| * log N level of the phases t log n."""
+    zeta() to the eps * |t| * log N level of the phases t log n, and it
+    refuses what zeta() refuses: _check_domain runs for each sigma at the
+    largest |t| and, when a node is 0, at t = 0."""
     ts = np.asarray(ts, dtype=np.float64)
-    if not (np.all(np.isfinite(ts)) and all(math.isfinite(sig) for sig in sigmas)):
-        raise DomainError("s must be finite, got a non-finite sigma or t")
     if ts.size == 0:
         return np.zeros((len(sigmas), 0), dtype=np.complex128)
-    t_extreme = float(np.max(np.abs(ts)))
-    sig_min = min(sigmas)
+    t_extreme = float(ts[np.argmax(np.abs(ts))])  # the largest |t|, or a NaN t
+    zero_node = bool(np.any(ts == 0))
     for sig in sigmas:
-        if sig < -1:
-            raise DomainError(f"sigma < -1 unsupported, got {sig}")
-    if t_extreme > _MAX_ABS_T:
-        raise DomainError(f"|t| > {_MAX_ABS_T:g} unsupported")
-    if any(sig == 1 for sig in sigmas) and np.any(ts == 0):
-        raise PoleError("zeta has a pole at s = 1")
-    n = _choose_terms(complex(sig_min, t_extreme), settings)
+        _check_domain(complex(sig, t_extreme))
+        if zero_node:
+            _check_domain(complex(sig, 0.0))
+    n = _choose_terms(complex(min(sigmas), abs(t_extreme)), settings)
     logk = np.log(np.arange(1, n, dtype=np.float64))
     out = _dirichlet_sum(np.exp(-np.outer(sigmas, logk)), ts, math.log(n))
     for row, sig in enumerate(sigmas):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from zetalab import report
+from zetalab import cli, pairs, quadrature, report
 from zetalab.cli import main
 from zetalab.config import ENV_VAR
 from zetalab.report import MOMENT_CSV_HEADER, PAIR_CSV_HEADER, ZETA_CSV_HEADER
@@ -133,6 +133,29 @@ class TestPairs:
 
     def test_optimize_bad_q_range(self, capsys):
         assert main(["pairs", "optimize", "--q-range", "10:2"]) == 1
+
+    def test_optimize_empty_family_range(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parse_q_range", lambda text: range(5, 5))
+        assert main(["pairs", "optimize", "--q-range", "5:4"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_deep_closure_is_a_resource_limit(self, capsys, monkeypatch):
+        largest = 0
+        add = pairs.PairSet.add
+
+        def counting_add(self, p):
+            nonlocal largest
+            new = add(self, p)
+            largest = max(largest, len(self))
+            return new
+
+        monkeypatch.setattr(pairs.PairSet, "add", counting_add)
+        assert main(["pairs", "enumerate", "--depth", "1000000000"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("zetalab: resource limit: ")
+        # refused within one parent's two children of the cap
+        assert pairs._MAX_PAIRS < largest <= pairs._MAX_PAIRS + 2
 
 
 class TestZeta:
@@ -372,6 +395,16 @@ class TestConfigPlumbing:
 
     def test_thread_override_rejects_zero(self, capsys):
         assert main(["--threads", "0", "zeta", "eval", "--sigma", "2"]) == 3
+
+    def test_thread_override_above_the_cap(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(quadrature, "ThreadPoolExecutor", no_pool)
+        assert main(["--threads", "100000", "zeta", "eval", "--sigma", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("zetalab: resource limit: ")
 
 
 class TestDeterminism:

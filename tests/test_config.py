@@ -4,7 +4,15 @@ from dataclasses import fields, replace
 
 import pytest
 
-from zetalab import Config, DomainError, ParseError, dump_config, load_config, parse_config
+from zetalab import (
+    Config,
+    DomainError,
+    ParseError,
+    ResourceLimitError,
+    dump_config,
+    load_config,
+    parse_config,
+)
 from zetalab.config import ENV_VAR, override
 
 
@@ -101,6 +109,14 @@ class TestValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(DomainError):
             Config(**kwargs)
+
+    def test_thread_cap(self):
+        with pytest.raises(ResourceLimitError):
+            Config(threads=100_000)
+        with pytest.raises(ResourceLimitError):
+            parse_config("threads = 100000\n")
+        with pytest.raises(ResourceLimitError):
+            override(Config(), threads=100_000)
 
     def test_settings_projections(self):
         cfg = Config(points_per_panel=8, width_scale=0.5, threads=2, bernoulli_order=6)

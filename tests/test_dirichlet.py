@@ -1,4 +1,4 @@
-"""Divisor sums, the hyperbola identity, and partial summation."""
+"""Divisor sums, the hyperbola identity, and the compensated reductions."""
 
 import math
 
@@ -10,14 +10,8 @@ from zetalab import (
     DivisorTable,
     DomainError,
     ResourceLimitError,
-    SEED_PAIRS,
-    SumWindow,
     divisor_phase_sum_direct,
     divisor_phase_sum_hyperbola,
-    partial_summation_window,
-    phase_sum,
-    s1_s2_bound_check,
-    vdc_bound,
 )
 from zetalab import dirichlet
 from zetalab.dirichlet import (
@@ -27,8 +21,6 @@ from zetalab.dirichlet import (
     _fsum_complex,
     _phase_row,
 )
-from zetalab.pairs import ExponentPair
-from fractions import Fraction as F
 
 
 @pytest.fixture(scope="module")
@@ -73,74 +65,6 @@ class TestDivisorSieve:
             DivisorTable(0)
         with pytest.raises(ResourceLimitError):
             DivisorTable(10**10)
-
-
-class TestSumWindow:
-    def test_valid(self):
-        w = SumWindow(10, 20, 1.5)
-        assert w.length == 10
-
-    @pytest.mark.parametrize("n,np_", [(0, 1), (10, 10), (10, 9), (10, 21)])
-    def test_invalid(self, n, np_):
-        with pytest.raises(DomainError):
-            SumWindow(n, np_)
-
-
-class TestPhaseSum:
-    def test_t_zero_counts(self):
-        assert phase_sum(SumWindow(10, 20, 0.0)) == pytest.approx(10 + 0j)
-
-    def test_single_term(self):
-        got = phase_sum(SumWindow(1, 2, 1.0))
-        want = complex(math.cos(math.log(2)), math.sin(math.log(2)))
-        assert abs(got - want) <= 1e-14
-        assert got == pytest.approx(0.7692389013639721 + 0.6389612763136348j)
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            n = int(rng.integers(1, 10000))
-            n_prime = int(rng.integers(n + 1, 2 * n + 1))
-            t = float(rng.uniform(-500, 500))
-            w = SumWindow(n, n_prime, t)
-            assert abs(phase_sum(w)) <= w.length + 1e-9
-
-    def test_concatenation(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            n = int(rng.integers(1, 5000))
-            mid = int(rng.integers(n + 1, 2 * n))
-            top = int(rng.integers(mid + 1, min(2 * mid, 2 * n) + 1))
-            t = float(rng.uniform(-100, 100))
-            whole = phase_sum(SumWindow(n, top, t))
-            parts = phase_sum(SumWindow(n, mid, t)) + phase_sum(SumWindow(mid, top, t))
-            assert abs(whole - parts) <= 1e-10 * (1 + abs(whole))
-
-
-class TestVdcBound:
-    def test_trivial_pair_gives_window_scale(self):
-        w = SumWindow(100, 200, 150.0)
-        assert vdc_bound(w, SEED_PAIRS["trivial"], 100.0) == pytest.approx(100.0)
-
-    def test_b_of_trivial_at_t_equals_n_squared(self):
-        n = 32
-        w = SumWindow(n, 2 * n, float(n * n))
-        p = ExponentPair(F(1, 2), F(1, 2))
-        assert vdc_bound(w, p, float(n * n)) == pytest.approx(float(n))
-
-    def test_ab_pair_arithmetic(self):
-        w = SumWindow(100, 200, 10**4)
-        p = ExponentPair(F(1, 6), F(2, 3))
-        got = vdc_bound(w, p, 10**4)
-        assert got == pytest.approx(10 ** (4 / 6) * 100 ** 0.5)  # ~46.42
-
-    def test_requires_pair_regime(self):
-        w = SumWindow(100, 200, 5.0)
-        with pytest.raises(DomainError):
-            vdc_bound(w, SEED_PAIRS["trivial"], 100.0)  # t < T
-        w2 = SumWindow(100, 200, 500.0)
-        with pytest.raises(DomainError):
-            vdc_bound(w2, SEED_PAIRS["trivial"], 100.0)  # t > 2T
 
 
 class TestDivisorPhaseSums:
@@ -195,35 +119,6 @@ class TestDivisorPhaseSums:
             assert type(divisor_phase_sum_hyperbola(u, 1.3)) is complex
 
 
-class TestPartialSummation:
-    def test_single_term(self, table):
-        got = partial_summation_window(SumWindow(1, 2, 0.0), 1.0, table, -1)
-        assert got == pytest.approx(1.0 + 0j)  # d(2)/2
-
-    def test_plus_sign_t_zero(self, table):
-        got = partial_summation_window(SumWindow(10, 20, 0.0), 0.5, table, +1)
-        want = sum(table[n] * n ** (0.5 - 1) for n in range(11, 21))
-        assert got == pytest.approx(want)
-
-    def test_self_check_on_random_windows(self, table):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            n = int(rng.integers(1, 9000))
-            n_prime = int(rng.integers(n + 1, min(2 * n, 18000) + 1))
-            w = SumWindow(n, n_prime, float(rng.uniform(-200, 200)))
-            sigma = float(rng.uniform(0.5, 1.0))
-            sign = -1 if rng.integers(0, 2) == 0 else 1
-            partial_summation_window(w, sigma, table, sign)  # asserts internally
-
-    def test_bad_sign(self, table):
-        with pytest.raises(DomainError):
-            partial_summation_window(SumWindow(5, 10, 0.0), 0.75, table, 2)
-
-    def test_bad_sigma(self, table):
-        with pytest.raises(DomainError):
-            partial_summation_window(SumWindow(5, 10, 0.0), 0.25, table, -1)
-
-
 class TestCompensatedCumsum:
     @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
     @pytest.mark.parametrize("t", [0.0, 1.3, 17.77])
@@ -242,39 +137,6 @@ class TestCompensatedCumsum:
             want_im = math.fsum(terms[:k].imag.tolist())
             assert abs(got[k - 1].real - want_re) <= in_block + 2 * math.ulp(want_re)
             assert abs(got[k - 1].imag - want_im) <= in_block + 2 * math.ulp(want_im)
-
-
-class TestS1S2:
-    def test_phase_free(self):
-        # at t = 0 both legs collapse to counting: finite, positive ratios
-        r1, r2 = s1_s2_bound_check(100, 0.0, SEED_PAIRS["trivial"], 50.0)
-        assert r1 > 0 and r2 > 0
-
-    def test_u_one(self):
-        r1, r2 = s1_s2_bound_check(1, 10.0, SEED_PAIRS["trivial"], 10.0)
-        denom_log = math.log(10.0)
-        big_n = 0.5
-        assert r1 == pytest.approx(1 / (big_n**0.5 * denom_log * big_n**0.5))
-        assert r2 == pytest.approx(1 / (big_n**0.5 * denom_log))
-
-    def test_recorded_case(self):
-        p = ExponentPair(F(1, 6), F(2, 3))
-        r1, r2 = s1_s2_bound_check(10**4, 10**3, p, 10**3)
-        assert math.isfinite(r1) and math.isfinite(r2)
-        assert r1 >= 0 and r2 >= 0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            s1_s2_bound_check(0.5, 10.0, SEED_PAIRS["trivial"], 10.0)
-        with pytest.raises(DomainError):
-            s1_s2_bound_check(100, 10.0, SEED_PAIRS["trivial"], 0.5)
-        with pytest.raises(DomainError):
-            s1_s2_bound_check(100, 100.0, SEED_PAIRS["trivial"], 10.0)
-
-    @pytest.mark.parametrize("u, t", [(math.nan, 1.0), (math.inf, 1.0), (100, math.nan)])
-    def test_non_finite_input_is_a_domain_error(self, u, t):
-        with pytest.raises(DomainError):
-            s1_s2_bound_check(u, t, SEED_PAIRS["trivial"], 10.0)
 
 
 def _fsum_reference(z: np.ndarray):
@@ -436,7 +298,6 @@ class TestPhaseRowCache:
             return (
                 repr(divisor_phase_sum_direct(u, t, table)),
                 repr(divisor_phase_sum_hyperbola(u, t)),
-                repr(s1_s2_bound_check(u, t, SEED_PAIRS["trivial"], 100.0)),
             )
 
         cold = {}

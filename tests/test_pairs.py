@@ -5,8 +5,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from zetalab import pairs
 from zetalab import (
     DomainError,
+    ResourceLimitError,
     ExponentPair,
     PairSet,
     SEED_PAIRS,
@@ -191,6 +193,15 @@ class TestEnumeration:
     def test_negative_depth_rejected(self):
         with pytest.raises(DomainError):
             enumerate_pairs([TRIVIAL], -1)
+
+    def test_closure_past_the_cap_is_refused(self, monkeypatch):
+        # from the trivial seed depth d holds Fib(d + 1) + 1 pairs: 9 at d = 5
+        monkeypatch.setattr(pairs, "_MAX_PAIRS", 9)
+        assert len(enumerate_pairs([TRIVIAL], 5)) == 9
+        with pytest.raises(ResourceLimitError, match="exceeds 9 pairs"):
+            enumerate_pairs([TRIVIAL], 6)
+        with pytest.raises(ResourceLimitError):
+            enumerate_pairs([TRIVIAL], 10**9)
 
     def test_closure_invariants_hold(self):
         for p in enumerate_pairs(list(SEED_PAIRS.values()), 6):

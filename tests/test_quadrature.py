@@ -9,7 +9,7 @@ import pytest
 
 from zetalab import DomainError, QuadratureSettings, integrate, panel_edges, panel_width
 from zetalab.errors import ResourceLimitError
-from zetalab.quadrature import _kronrod_rule, _panel_integral
+from zetalab.quadrature import _MAX_THREADS, _kronrod_rule, _panel_integral
 
 EPS = 2.0**-52
 
@@ -114,6 +114,12 @@ class TestSettings:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             QuadratureSettings(**kwargs)
+
+    def test_thread_cap(self):
+        assert QuadratureSettings(threads=_MAX_THREADS).threads == _MAX_THREADS
+        for threads in (_MAX_THREADS + 1, 20_000):
+            with pytest.raises(ResourceLimitError, match="thread cap"):
+                QuadratureSettings(threads=threads)
 
 
 class TestKronrodRule:

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from zetalab.thresholds import q_family_optimum
 from zetalab import (
     DomainError,
+    EmptyResultError,
     ExponentPair,
     HypothesisError,
     SEED_PAIRS,
@@ -62,6 +64,22 @@ class TestFourthPowerThreshold:
     def test_optimizer_selects_q3(self):
         best = min((theorem2_sigma(q_family_pair(q)), q) for q in range(2, 11))
         assert best[1] == 3
+
+    def test_family_optimum_rows_and_selection(self):
+        rows, best = q_family_optimum(theorem2_sigma, range(2, 11))
+        assert [(q, p, sigma) for q, p, sigma in rows] == [
+            (q, q_family_pair(q), theorem2_sigma(q_family_pair(q))) for q in range(2, 11)
+        ]
+        assert best == rows[1] and best[2] == F(63, 64)
+
+    def test_family_optimum_ties_go_to_the_smaller_q(self):
+        rows, best = q_family_optimum(lambda p: F(1, 2), [5, 3, 4])
+        assert [q for q, _, _ in rows] == [5, 3, 4]
+        assert best[0] == 3
+
+    def test_family_optimum_of_an_empty_range(self):
+        with pytest.raises(EmptyResultError):
+            q_family_optimum(theorem2_sigma, range(5, 5))
 
     def test_family_satisfies_hypothesis(self):
         for q in range(2, 11):

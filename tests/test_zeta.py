@@ -8,6 +8,7 @@ below the asserted tolerance.
 
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -193,6 +194,15 @@ class TestZetaGrid:
             zeta_grid_multi([1.0], np.array([0.0, 5.0]))
         with pytest.raises(DomainError):
             zeta_grid_multi([-2.0], np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "s", [complex(1.0, 0.0), complex(-1.5, 3.0), complex(0.5, -2e6), complex(math.nan, 1.0)]
+    )
+    def test_grid_refuses_as_scalar_does(self, s):
+        with pytest.raises(DomainError) as scalar:
+            zeta(s)
+        with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+            zeta_grid_multi([0.75, s.real], np.array([s.imag / 2, s.imag]))
 
     @pytest.mark.parametrize(
         "sigmas, ts",
