@@ -49,6 +49,10 @@ from .zeta import _term_count, zeta
 
 _ff = report.fmt_float
 _fr = report.fmt_rational
+# member q of the q-family has rationals of about 0.3 q digits, so time
+# and output grow like the square of the range's top (2:1000 prints
+# 0.78 MB in 0.06 s, 2:2000 prints 3.1 MB)
+_MAX_Q = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,6 +107,8 @@ def _parse_q_range(text: str) -> range:
         raise ParseError(f"q-range must look like 2:10, got {text!r}", 0) from None
     if hi < lo:
         raise ParseError(f"empty q-range {text!r}", 0)
+    if hi > _MAX_Q:
+        raise ResourceLimitError(f"q-range top {hi} beyond the limit {_MAX_Q}")
     return range(lo, hi + 1)
 
 

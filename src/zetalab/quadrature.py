@@ -2,19 +2,32 @@
 
 The t-axis is cut into panels of width
 
-    width(t) = scale * min(0.25, 1 / (2 log(2 + t))),
+    width(t) = scale * min(1/4 + t/2, 2 / log(2 + t)),
 
-which tracks the local oscillation scale of |zeta(1/2+it)| (critical
-zeros space out like 1/log t), and each panel gets a Gauss-Kronrod pair
-G_n / K_{2n+1} (n = points_per_panel; the default n = 10 is QUADPACK's
-qk21).  The 2n+1 Kronrod nodes contain the n Gauss nodes, so one
-evaluation of the integrand per node gives both sums: the K sum is the
-value, and |K - G| per panel is the error estimate.  |K - G| is about
-the error of the n-point Gauss rule, which converges more slowly than
-the K rule (exact to degree 3n+1), so it bounds the error of the value
-with room to spare.  |zeta(1/2+it)|^2 is real-analytic in t (it is the
-product of two analytic factors, not a bare absolute value), so both
-rules converge spectrally per panel.
+and each panel gets a Gauss-Kronrod pair G_n / K_{2n+1} (n =
+points_per_panel; the default n = 10 is QUADPACK's qk21).  The width is
+set by the integrand's bandwidth, not by the spacing of the zeros: the
+moment integrands |zeta(1/2+it)|^4 |zeta(sigma+it)|^{2j} are products
+of Dirichlet polynomials of length about sqrt(t / 2 pi), so their
+frequencies stay below about (2 + j) log(t / 2 pi) (the Nyquist
+argument behind Odlyzko's band-limited interpolation of Z(t)).  Above
+_T_STAR = 2.26..., where the two terms meet, a panel spans at most
+about 6.4 rad of the j = 2 integrand (at t = 1e4 it is 0.217 wide), a
+few nodes per radian for a rule exact to degree 3n+1 = 31.  Below
+_T_STAR the width is 1/4 at t = 0 and grows geometrically,
+t_{k+1} + 1/2 = (1 + scale/2)(t_k + 1/2): only the panels near t = 0
+need to be narrow, because the pole of zeta(sigma+it) at s = 1 lies at
+distance 1 - sigma from t = 0, and the integrand's radius of
+analyticity grows with the distance from it.
+
+The 2n+1 Kronrod nodes contain the n Gauss nodes, so one evaluation of
+the integrand per node gives both sums: the K sum is the value, and
+|K - G| per panel is the error estimate.  |K - G| is about the error of
+the n-point Gauss rule, which converges more slowly than the K rule
+(exact to degree 3n+1), so it bounds the error of the value with room
+to spare.  |zeta(1/2+it)|^2 is real-analytic in t (it is the product of
+two analytic factors, not a bare absolute value), so both rules
+converge spectrally per panel.
 
 Determinism under threading: the panel partition is a pure function of
 (t_min, t_max, scale); panels are processed in fixed-size chunks whose
@@ -40,7 +53,8 @@ from .errors import DomainError, ResourceLimitError
 _CHUNK = 256  # panels per work unit; fixed so threading cannot repartition
 _MAX_PANELS = 5_000_000
 _MAX_THREADS = 64  # integrate starts min(threads, chunks) OS threads
-_CAP_END = math.e**2 - 2  # panel_width sits at its 0.25 cap below this t
+# where the two terms of panel_width meet: 1/4 + t/2 = 2 / log(2 + t)
+_T_STAR = 2.2600081622965313
 
 
 @dataclass(frozen=True)
@@ -73,31 +87,42 @@ class QuadratureSettings:
 
 
 def panel_width(t: float, scale: float = 1.0) -> float:
-    return scale * min(0.25, 1 / (2 * math.log(2 + t)))
+    return scale * min(0.25 + t / 2, 2 / math.log(2 + t))
 
 
 def _panel_integral(t_min: float, t_max: float, scale: float = 1.0) -> float:
-    """integral of dt / panel_width(t) over [t_min, t_max]: 4 / scale per
-    unit of t below e^2 - 2, where the 0.25 cap binds, and antiderivative
-    (2 / scale)(2 + t)(log(2 + t) - 1) above.  The width never grows with
-    t, so every full greedy panel covers at least one unit of it, and the
-    panel count is at most the integral plus 1."""
+    """An upper bound on the greedy panel count of [t_min, t_max], less 1.
+
+    Below _T_STAR the greedy edges are the geometric sequence
+    t_{k+1} + 1/2 = (1 + scale/2)(t_k + 1/2), so that stretch is counted
+    as its steps, up to the first edge at or past _T_STAR (stopping the
+    geometric count at _T_STAR itself undercounts the panel that
+    straddles it, by up to 0.02 at scale 1).  From there the width falls
+    with t, so every full panel covers at least one unit of the integral
+    of dt / panel_width(t), whose antiderivative is
+    (1 / scale)(1/2)(2 + t)(log(2 + t) - 1)."""
+    grade = math.log1p(scale / 2)
+    steps, start = 0, t_min
+    if t_min < _T_STAR:
+        steps = math.ceil(math.log((_T_STAR + 0.5) / (t_min + 0.5)) / grade)
+        start = (t_min + 0.5) * math.exp(steps * grade) - 0.5
+    if t_max <= start:
+        return math.log((t_max + 0.5) / (t_min + 0.5)) / grade
 
     def antiderivative(t: float) -> float:
-        if t <= _CAP_END:
-            return 4 * t
-        return 4 * _CAP_END + 2 * ((2 + t) * (math.log(2 + t) - 1) - math.e**2)
+        return 0.5 * (2 + t) * (math.log(2 + t) - 1)
 
-    return (antiderivative(t_max) - antiderivative(t_min)) / scale
+    return steps + (antiderivative(t_max) - antiderivative(start)) / scale
 
 
 def panel_edges(t_min: float, t_max: float, scale: float = 1.0) -> np.ndarray:
-    """Greedy partition of [t_min, t_max] by the width rule.  Refused up
-    front when _panel_integral bounds the count above _MAX_PANELS, and in
-    the loop when rounding cuts the steps short of the widths the bound
-    assumes: a width under half an ulp of t leaves t + width == t."""
-    if t_max < t_min:
-        raise DomainError(f"need t_min <= t_max, got [{t_min}, {t_max}]")
+    """Greedy partition of [t_min, t_max] by the width rule, which is
+    graded from t = 0 and so needs 0 <= t_min.  Refused up front when
+    _panel_integral bounds the count above _MAX_PANELS, and in the loop
+    when rounding cuts the steps short of the widths the bound assumes:
+    a width under half an ulp of t leaves t + width == t."""
+    if not (0 <= t_min <= t_max):
+        raise DomainError(f"need 0 <= t_min <= t_max, got [{t_min}, {t_max}]")
     refused = _panel_integral(t_min, t_max, scale) + 1 > _MAX_PANELS
     edges = [t_min]
     t = t_min
@@ -186,7 +211,7 @@ def integrate(
     pure; it is called once per fixed-size panel chunk, possibly from
     worker threads.
     """
-    if t_max <= t_min:
+    if not t_max > t_min:  # empty, or a NaN bound
         return 0.0, 0, 0.0
     edges = panel_edges(t_min, t_max, settings.width_scale)
     n_panels = edges.size - 1

@@ -134,6 +134,15 @@ class TestPairs:
     def test_optimize_bad_q_range(self, capsys):
         assert main(["pairs", "optimize", "--q-range", "10:2"]) == 1
 
+    def test_optimize_q_range_top_is_a_resource_limit(self, capsys, monkeypatch):
+        assert main(["pairs", "optimize", "--theorem", "2", "--q-range", "1000:1000"]) == 0
+        capsys.readouterr()
+        built = []
+        monkeypatch.setattr(cli, "q_family_optimum", lambda *a: built.append(a))
+        assert main(["pairs", "optimize", "--theorem", "2", "--q-range", "2:100000"]) == 4
+        assert built == []  # refused before any pair is built
+        assert capsys.readouterr().out == ""
+
     def test_optimize_empty_family_range(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_parse_q_range", lambda text: range(5, 5))
         assert main(["pairs", "optimize", "--q-range", "5:4"]) == 2

@@ -99,8 +99,8 @@ class TestIntegrateMoment:
 
     def test_stall_raises_precision_error(self):
         # |zeta(1/2+it)|^8 dips to an octic zero near t = 14.13; two-point
-        # panels at the 0.25 width cap cannot track it, so base and half
-        # disagree beyond the stall tolerance.
+        # panels about 0.7 wide cannot track it, so K and G disagree
+        # beyond the stall tolerance.
         rough = QuadratureSettings(points_per_panel=2, width_scale=1.0)
         with pytest.raises(PrecisionError):
             integrate_moment(MomentSpec(0.5, 2, 13.0, 16.0, rough))
@@ -122,10 +122,30 @@ class TestOnePassEstimate:
         assert abs(finer.value - res.value) <= res.error_estimate
 
     def test_pole_at_sigma_one_raises(self):
-        # |zeta(1+it)|^(2j) ~ t^(-2j) near t = 0 is not integrable
+        # |zeta(1+it)|^(2j) ~ t^(-2j) near t = 0 is not integrable; the
+        # graded panels at t = 0 must not hide it, on short or long spans
         for j in (1, 2):
-            with pytest.raises(PrecisionError):
-                integrate_moment(MomentSpec(1.0, j, 0.0, 10.0))
+            for t_max in (0.7, 3.0, 10.0, 30.0):
+                with pytest.raises(PrecisionError):
+                    integrate_moment(MomentSpec(1.0, j, 0.0, t_max))
+
+    @pytest.mark.parametrize(
+        "sigma, j, t_min, t_max",
+        [
+            (0.9, 2, 0.0, 22.0),  # graded stretch below t* = 2.26, then log
+            (0.9, 2, 0.0, 184.0),
+            (0.75, 1, 88.0, 184.0),  # log stretch only
+            (0.5, 2, 9950.0, 1.0e4),  # near the desk-scale top
+        ],
+    )
+    def test_estimates_cover_the_half_width_move(self, sigma, j, t_min, t_max):
+        spec = MomentSpec(sigma, j, t_min, t_max)
+        res = integrate_moment(spec)
+        finer = integrate_moment(
+            MomentSpec(sigma, j, t_min, t_max, spec.quadrature.halved())
+        )
+        assert finer.panel_count > res.panel_count > 0
+        assert abs(finer.value - res.value) <= res.error_estimate + finer.error_estimate
 
     def test_scan_sums_pieces(self):
         t_list = [16.0, 32.0, 64.0, 128.0]
@@ -411,8 +431,8 @@ class TestOnePath:
         "case", ["split-I1-T40-s0.75", "watt-T30-M4-e-0.5", "sixth-T64"]
     )
     def test_rough_rule_raises_precision_error(self, case):
-        # two-point panels at the 0.25 width cap cannot track |zeta|^4 or
-        # |zeta|^6 near the low zeros, as in test_stall_raises_precision_error
+        # two-point panels cannot track |zeta|^4 or |zeta|^6 near the
+        # low zeros, as in test_stall_raises_precision_error
         with pytest.raises(PrecisionError):
             ONE_PATH_CASES[case](QuadratureSettings(points_per_panel=2))
 
@@ -424,11 +444,13 @@ class TestOnePath:
 
     def test_rounding_term_counts_polynomial_length(self):
         # the same |zeta|^4 integral with an M-term unit-modulus polynomial
-        # weight adds 2 eps T log M |I| to the rounding term
+        # weight adds 2 eps T log M |I| to the rounding term; the kernel
+        # gives |P|^2 = 1 only to within a few ulp, so the weighted value
+        # may differ from the plain one, but by no more than that term
         big_t, m = 300.0, 16
         plain = watt_ratio(big_t, 1, [1.0])[0]
         weighted = watt_ratio(big_t, m, [1.0] + [0.0] * (m - 1))[0]
-        assert weighted.value == plain.value
-        extra = weighted.error_estimate - plain.error_estimate
         expected = 2 * 2.0**-52 * big_t * math.log(m) * plain.value
+        assert abs(weighted.value - plain.value) <= expected
+        extra = weighted.error_estimate - plain.error_estimate
         assert extra == pytest.approx(expected, rel=1e-9)

@@ -1,0 +1,42 @@
+"""The README's command-line examples print what the README shows."""
+
+import shlex
+from pathlib import Path
+
+import pytest
+
+from zetalab.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _examples() -> list[tuple[str, list[str]]]:
+    """(command, expected stdout lines) for every `$ zetalab ...` line of
+    the README's "Command line" section; the output is the lines under
+    it, up to the next blank line, comment, prompt or fence."""
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    collecting = False
+    for line in section.splitlines():
+        if line.startswith("$ zetalab "):
+            examples.append((line[len("$ zetalab "):], []))
+            collecting = True
+        elif collecting and line.strip() and not line.startswith(("#", "```")):
+            examples[-1][1].append(line)
+        else:
+            collecting = False
+    return examples
+
+
+EXAMPLES = _examples()
+
+
+def test_readme_has_the_examples():
+    assert len(EXAMPLES) == 5
+    assert all(lines for _, lines in EXAMPLES)
+
+
+@pytest.mark.parametrize("command, expected", EXAMPLES, ids=[c for c, _ in EXAMPLES])
+def test_example_output(command, expected, capsys):
+    assert main(shlex.split(command)) == 0
+    assert capsys.readouterr().out.splitlines() == expected
