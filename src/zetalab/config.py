@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .errors import DomainError, ParseError
+from .errors import ParseError
 from .quadrature import QuadratureSettings
 from .zeta import EvalSettings
 
@@ -25,27 +25,18 @@ ENV_VAR = "ZETALAB_CONFIG"
 class Config:
     """Effective settings: precision, quadrature and resources."""
 
-    euler_maclaurin_terms: Optional[int] = None  # None means the auto rule
-    bernoulli_order: int = EvalSettings.bernoulli_order
     target_abs_error: float = EvalSettings.target_abs_error
     points_per_panel: int = QuadratureSettings.points_per_panel
     width_scale: float = QuadratureSettings.width_scale
     threads: int = QuadratureSettings.threads
     output_dir: str = "."
-    divisor_table_size: int = 100_000
 
     def __post_init__(self):
         self.eval_settings()  # the settings objects validate their own fields
         self.quadrature_settings()
-        if self.divisor_table_size < 1:
-            raise DomainError("divisor_table_size must be >= 1")
 
     def eval_settings(self) -> EvalSettings:
-        return EvalSettings(
-            euler_maclaurin_terms=self.euler_maclaurin_terms,
-            bernoulli_order=self.bernoulli_order,
-            target_abs_error=self.target_abs_error,
-        )
+        return EvalSettings(target_abs_error=self.target_abs_error)
 
     def quadrature_settings(self) -> QuadratureSettings:
         return QuadratureSettings(
@@ -55,10 +46,8 @@ class Config:
         )
 
 
-# key -> parser: the type of each field's default; euler_maclaurin_terms
-# (default None) also takes "auto"
+# key -> parser: the type of each field's default
 _PARSERS = {f.name: type(f.default) for f in fields(Config)}
-_PARSERS["euler_maclaurin_terms"] = lambda value: None if value == "auto" else int(value)
 
 
 def parse_config(text: str) -> Config:
@@ -88,9 +77,7 @@ def dump_config(config: Config) -> str:
     lines = []
     for f in fields(Config):
         value = getattr(config, f.name)
-        if f.name == "euler_maclaurin_terms" and value is None:
-            value = "auto"
-        elif isinstance(value, float):
+        if isinstance(value, float):
             value = f"{value:.15g}"
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"

@@ -135,7 +135,8 @@ def _cutoff(u: float, t: float) -> int:
 
 
 class DivisorTable:
-    """d(n) for 1 <= n <= max_n by a sieve; d[n] indexes directly.
+    """d(n) for 1 <= n <= max_n by a sieve over the divisor pairs
+    n = m k, m <= k (so m <= sqrt(max_n)); d[n] indexes directly.
 
     d[0] is 0 and unused.  int32 is ample: d(n) < n.
     """
@@ -149,9 +150,9 @@ class DivisorTable:
             )
         self.max_n = int(max_n)
         d = np.zeros(self.max_n + 1, dtype=np.int32)
-        d[1:] += 1  # every n divides itself
-        for m in range(1, self.max_n // 2 + 1):
-            d[2 * m :: m] += 1  # proper divisors m <= n/2
+        for m in range(1, math.isqrt(self.max_n) + 1):
+            d[m * m :: m] += 2  # n = m k with m <= k: the divisors m and k
+            d[m * m] -= 1  # k = m is one divisor
         self.d = d
 
     def require(self, n: int):

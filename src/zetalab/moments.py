@@ -57,7 +57,7 @@ from .errors import (
 )
 from .quadrature import QuadratureSettings, integrate
 from .zeta import DEFAULT_SETTINGS, EvalSettings, _choose_terms, zeta_grid_multi
-from .zeta import _dirichlet_sum, _term_count
+from .zeta import _MAX_WEIGHT_TERMS, _dirichlet_sum, _term_count
 
 _MAX_T_MOMENT = 1.0e4
 _MAX_T_SPLIT = 2000.0
@@ -267,7 +267,8 @@ def split_i1_i2(
     if not (0.5 < sigma < 1):
         raise DomainError(f"sigma must lie in (1/2, 1), got {sigma}")
     log_sq = math.log(big_t) ** 2
-    n = np.arange(1, _term_count(smoothing * log_sq, "Y log^2 T") + 1, dtype=np.float64)
+    m = _term_count(smoothing * log_sq, "Y log^2 T", _MAX_WEIGHT_TERMS)
+    n = np.arange(1, m + 1, dtype=np.float64)
     coeffs = np.exp(-n / smoothing) * n ** (-sigma)
     profile = _critical_profile(big_t + log_sq, eval_settings)
 
@@ -301,6 +302,8 @@ def watt_ratio(
     _check_height(big_t, _MAX_T_SPLIT)
     if big_t < 0:
         raise DomainError(f"T must be >= 0, got {big_t}")
+    if m_length > _MAX_WEIGHT_TERMS:
+        raise ResourceLimitError(f"{m_length} weight terms, beyond {_MAX_WEIGHT_TERMS}")
     a = np.asarray(list(coefficients), dtype=np.complex128)
     if a.size != m_length:
         raise DomainError(f"expected {m_length} coefficients, got {a.size}")

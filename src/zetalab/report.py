@@ -20,7 +20,6 @@ import cmath
 import json
 import math
 import os
-from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -40,6 +39,7 @@ from .moments import MomentSpec, integrate_moment, sixth_moment_probe, watt_rati
 from .zeta import (
     EvalSettings,
     _choose_terms,
+    _zeta_at,
     afe_simple,
     afe_zeta_squared,
     chi,
@@ -265,9 +265,7 @@ def regression_data(config: Config) -> dict:
     )
     s_stab = complex(0.75, 50.0)
     auto = zeta(s_stab, es)
-    doubled_terms = 2 * _choose_terms(s_stab, es)
-    doubled = zeta(s_stab, replace(es, euler_maclaurin_terms=doubled_terms))
-    em_delta = abs(auto - doubled)
+    em_delta = abs(auto - _zeta_at(s_stab, 2 * _choose_terms(s_stab, es)))
 
     moment = integrate_moment(MomentSpec(0.75, 1, 0.0, 100.0, qs), es)
     probe = sixth_moment_probe(256.0, qs, es)

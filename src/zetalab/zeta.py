@@ -14,9 +14,12 @@ with the classical remainder bound
              * |s+2q+1|/(sigma+2q+1).
 
 In log space the bound is A(s) - (sigma+2q+1) log N with A independent
-of N, so the auto rule solves it for the smallest N >= 2 that meets
-target_abs_error (default 1e-13, q = 12): at sigma = 1/2 that is
-N = 92 at t = 184, 515 at t = 1e3 and 2529 at t = 4765.
+of N.  Neither N nor q is a setting: q is fixed at 12 and N is solved
+for, the smallest N >= 2 whose bound meets target_abs_error (default
+1e-13), the one accuracy knob.  At sigma = 1/2 that is N = 92 at
+t = 184, 515 at t = 1e3 and 2529 at t = 4765.  Against mpmath, q = 6,
+12 and 20 all land at the phase-rounding level at 1/2 + 4750i; q sets
+only the cost (N = 7704, 2521 and 1566 there).
 
 chi(s) = 2^s pi^(s-1) Gamma(1-s) sin(pi s / 2) is the ratio
 zeta(s)/zeta(1-s) from the functional equation.  It is computed from a
@@ -29,7 +32,8 @@ large |Im z| so nothing overflows; branch ambiguities are multiples of
 2 pi i and drop out in the exponential.  chi() is the one formula:
 chi_grid applies it to each element of an array.
 
-zeta() and zeta_grid_multi add the same nested tail, _em_tail (below).
+zeta() (through _zeta_at, the value at a given N) and zeta_grid_multi
+add the same nested tail, _em_tail (below).
 Direct-sum reductions in the scalar paths are exactly rounded, bit for
 bit what math.fsum gives, by the vectorized exact sum of the dirichlet
 module (fsum itself below 512 terms), so the compensation never limits
@@ -60,30 +64,25 @@ LNPI = math.log(math.pi)
 
 _MAX_ABS_T = 1.0e6
 _MAX_TERMS = 1 << 24
+_BERNOULLI_ORDER = 12  # q, the Bernoulli correction terms of the EM formula
+# Dirichlet-polynomial weights: _dirichlet_sum holds about 2.4 KB per
+# term (tracemalloc peaks of 300-306 MiB at 2^17 terms for moment split
+# and watt, T = 96 to 2000), so longer weights are refused
+_MAX_WEIGHT_TERMS = 1 << 17
 _CELL_BLOCK = 64  # cells per phase block: bounds the block at 64 x M
 
 
 @dataclass(frozen=True)
 class EvalSettings:
-    """Euler-Maclaurin controls.
+    """The zeta accuracy target: the Euler-Maclaurin remainder bound must
+    not exceed target_abs_error.  The length N and the Bernoulli order q
+    are worked out from it, not set (see the module docstring)."""
 
-    euler_maclaurin_terms: direct-sum length N, or None for the auto rule,
-    the smallest N >= 2 whose remainder bound meets target_abs_error.
-    bernoulli_order: number q of correction terms.  target_abs_error:
-    the remainder bound must not exceed this.
-    """
-
-    euler_maclaurin_terms: Optional[int] = None
-    bernoulli_order: int = 12
     target_abs_error: float = 1e-13
 
     def __post_init__(self):
-        if self.bernoulli_order < 1:
-            raise DomainError("bernoulli_order must be >= 1")
         if not (self.target_abs_error > 0):
             raise DomainError("target_abs_error must be > 0")
-        if self.euler_maclaurin_terms is not None and self.euler_maclaurin_terms < 2:
-            raise DomainError("euler_maclaurin_terms must be >= 2")
 
 
 DEFAULT_SETTINGS = EvalSettings()
@@ -104,14 +103,17 @@ def bernoulli_numbers(n_max: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _correction_coeffs(q: int) -> tuple[float, ...]:
+def _correction_coeffs() -> tuple[float, ...]:
     """B_{2r}/(2r)! as floats for r = 1..q."""
-    bern = bernoulli_numbers(2 * q)
-    return tuple(float(bern[2 * r]) / math.factorial(2 * r) for r in range(1, q + 1))
+    bern = bernoulli_numbers(2 * _BERNOULLI_ORDER)
+    return tuple(
+        float(bern[2 * r]) / math.factorial(2 * r) for r in range(1, _BERNOULLI_ORDER + 1)
+    )
 
 
-def _remainder_log_bound(s: complex, n_terms: int, q: int) -> float:
+def _remainder_log_bound(s: complex, n_terms: int) -> float:
     """log of the Euler-Maclaurin remainder bound (see module docstring)."""
+    q = _BERNOULLI_ORDER
     sigma = s.real
     if sigma + 2 * q + 1 <= 0:
         return math.inf
@@ -124,22 +126,13 @@ def _remainder_log_bound(s: complex, n_terms: int, q: int) -> float:
 
 
 def _choose_terms(s_extreme: complex, settings: EvalSettings) -> int:
-    """Pick N: the fixed length if set, else the smallest N >= 2 whose
-    remainder bound A - p log N (p = sigma+2q+1) meets the target."""
-    q = settings.bernoulli_order
+    """The smallest N >= 2 whose remainder bound A - p log N
+    (p = sigma+2q+1) meets the target."""
     log_target = math.log(settings.target_abs_error)
-    if settings.euler_maclaurin_terms is not None:
-        n = settings.euler_maclaurin_terms
-        if _remainder_log_bound(s_extreme, n, q) > log_target:
-            raise PrecisionError(
-                f"remainder bound exceeds target {settings.target_abs_error:g} "
-                f"with {n} terms at s = {s_extreme}"
-            )
-        return n
     # _remainder_log_bound adds the log N term last, so a - p log n
-    # below equals _remainder_log_bound(s_extreme, n, q) bit for bit
-    a = _remainder_log_bound(s_extreme, 1, q)
-    p = s_extreme.real + 2 * q + 1
+    # below equals _remainder_log_bound(s_extreme, n) bit for bit
+    a = _remainder_log_bound(s_extreme, 1)
+    p = s_extreme.real + 2 * _BERNOULLI_ORDER + 1
     log_n = (a - log_target) / p
     if not log_n < math.log(_MAX_TERMS):
         raise PrecisionError(
@@ -153,11 +146,11 @@ def _choose_terms(s_extreme: complex, settings: EvalSettings) -> int:
     return n
 
 
-def _term_count(length: float, what: str) -> int:
-    """floor(length), or ResourceLimitError past _MAX_TERMS terms."""
+def _term_count(length: float, what: str, cap: int = _MAX_TERMS) -> int:
+    """floor(length), or ResourceLimitError past cap terms."""
     m = int(math.floor(length))
-    if m > _MAX_TERMS:
-        raise ResourceLimitError(f"{what} asks for {m} terms, beyond {_MAX_TERMS}")
+    if m > cap:
+        raise ResourceLimitError(f"{what} asks for {m} terms, beyond {cap}")
     return m
 
 
@@ -172,15 +165,15 @@ def _check_domain(s: complex):
         raise DomainError(f"sigma < -1 unsupported, got {s.real}")
 
 
-def _em_tail(s, n: int, q: int):
+def _em_tail(s, n: int):
     """Boundary and Bernoulli-correction terms at cut N = n, for a complex
     s or an array of s, nested as N^{-s} (N/(s-1) + 1/2 + (s/N) A) with
     A = c_1 + (s+1)(s+2)/N^2 (c_2 + (s+3)(s+4)/N^2 (c_3 + ...)) and
     c_r = B_2r/(2r)!.  On an array the operators act in place; on a
     complex they rebind."""
-    coeffs = _correction_coeffs(q)
-    tail = coeffs[q - 1] + 0 * s
-    for r in range(q - 1, 0, -1):
+    coeffs = _correction_coeffs()
+    tail = coeffs[-1] + 0 * s
+    for r in range(_BERNOULLI_ORDER - 1, 0, -1):
         tail *= s + (2 * r - 1)
         tail *= s + 2 * r
         tail /= n * n
@@ -192,16 +185,21 @@ def _em_tail(s, n: int, q: int):
     return tail
 
 
+def _zeta_at(s: complex, n: int) -> complex:
+    """zeta(s) at Euler-Maclaurin length N = n: the exactly rounded direct
+    sum over n' < n plus _em_tail."""
+    return complex(partial_zeta_sum(s, n - 1) + _em_tail(s, n))
+
+
 def zeta(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
     """zeta(s) by Euler-Maclaurin with an exactly-rounded direct sum.
 
     Raises PoleError at s = 1, DomainError outside the supported region,
-    PrecisionError when the settings cannot reach the target.
+    PrecisionError when the target cannot be reached.
     """
     s = complex(s)
     _check_domain(s)
-    n = _choose_terms(s, settings)
-    value = complex(partial_zeta_sum(s, n - 1) + _em_tail(s, n, settings.bernoulli_order))
+    value = _zeta_at(s, _choose_terms(s, settings))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise PrecisionError(f"non-finite zeta value at s = {s}")
     return value
@@ -305,7 +303,7 @@ def zeta_grid_multi(
     logk = np.log(np.arange(1, n, dtype=np.float64))
     out = _dirichlet_sum(np.exp(-np.outer(sigmas, logk)), ts, math.log(n))
     for row, sig in enumerate(sigmas):
-        out[row] += _em_tail(sig + 1j * ts, n, settings.bernoulli_order)
+        out[row] += _em_tail(sig + 1j * ts, n)
     if not np.all(np.isfinite(out)):
         raise PrecisionError("non-finite zeta value in grid evaluation")
     return out

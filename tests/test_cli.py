@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from zetalab import cli, pairs, quadrature, report
+from zetalab import cli, moments, pairs, quadrature, report
 from zetalab.cli import main
 from zetalab.config import ENV_VAR
 from zetalab.report import MOMENT_CSV_HEADER, PAIR_CSV_HEADER, ZETA_CSV_HEADER
@@ -132,7 +132,9 @@ class TestPairs:
         assert selected[0].startswith("3,")
 
     def test_optimize_bad_q_range(self, capsys):
-        assert main(["pairs", "optimize", "--q-range", "10:2"]) == 1
+        # a reversed range is empty, not malformed
+        assert main(["pairs", "optimize", "--q-range", "10:2"]) == 2
+        assert main(["pairs", "optimize", "--q-range", "2-10"]) == 1
 
     def test_optimize_q_range_top_is_a_resource_limit(self, capsys, monkeypatch):
         assert main(["pairs", "optimize", "--theorem", "2", "--q-range", "1000:1000"]) == 0
@@ -143,10 +145,11 @@ class TestPairs:
         assert built == []  # refused before any pair is built
         assert capsys.readouterr().out == ""
 
-    def test_optimize_empty_family_range(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_parse_q_range", lambda text: range(5, 5))
+    def test_optimize_empty_family_range(self, capsys):
         assert main(["pairs", "optimize", "--q-range", "5:4"]) == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "zetalab: empty result: empty q-range\n"
 
     def test_deep_closure_is_a_resource_limit(self, capsys, monkeypatch):
         largest = 0
@@ -359,22 +362,35 @@ def test_non_finite_s_names_the_cause(argv, capsys):
     assert "cannot reach target" not in captured.err
 
 
-# one past the 2^24-term cap; each is refused before its terms are allocated
+# one past the 2^24-term cap on a sum or the 2^17-term cap on a weight;
+# each is refused before its terms are allocated
 _SPLIT_Y = (2**24 + 1.5) / math.log(96.0) ** 2
 TERM_CAP_ARGVS = [
     ["zeta", "afe", "--sigma", "0.75", "--t", "10", "--cutoff", "16777217"],
     ["zeta", "smooth", "--sigma", "0.75", "--t", "10", "--Y", "1048576.0625", "--multiplier", "16"],
     ["moment", "split", "--T", "96", "--Y", repr(_SPLIT_Y)],
     ["moment", "watt", "--T", "30", "--coeffs", "power:16777217:-0.5"],
+    ["moment", "split", "--T", "96", "--Y", repr((2**17 + 1.5) / math.log(96.0) ** 2)],
+    ["moment", "watt", "--T", "30", "--coeffs", "power:131073:-0.5"],
 ]
 
 
 @pytest.mark.parametrize("argv", TERM_CAP_ARGVS, ids=" ".join)
-def test_length_beyond_term_cap_is_a_resource_limit(argv, capsys):
+def test_length_beyond_term_cap_is_a_resource_limit(argv, capsys, monkeypatch):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a zeta or Dirichlet-polynomial kernel was reached")
+
+    monkeypatch.setattr(moments, "_dirichlet_sum", no_kernel)
+    monkeypatch.setattr(moments, "zeta_grid_multi", no_kernel)
     assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("zetalab: resource limit: ")
+
+
+def test_weight_at_cap_is_accepted_by_the_parser():
+    coeffs = cli._parse_coeffs("power:131072:-0.5")
+    assert len(coeffs) == 2**17 and coeffs[-1] == 131072.0**-0.5
 
 
 class TestConfigPlumbing:
@@ -398,6 +414,17 @@ class TestConfigPlumbing:
         path = tmp_path / "lab.cfg"
         path.write_text(f"# limits\n{key} = 10\n")
         assert main(["--config", str(path), "zeta", "afe", "--grid"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown config key {key!r} (at position 2)" in captured.err
+
+    @pytest.mark.parametrize(
+        "key", ["euler_maclaurin_terms", "bernoulli_order", "divisor_table_size"]
+    )
+    def test_removed_zeta_key_is_refused(self, tmp_path, capsys, key):
+        path = tmp_path / "lab.cfg"
+        path.write_text(f"target_abs_error = 1e-13\n{key} = 12\n")
+        assert main(["--config", str(path), "zeta", "eval", "--sigma", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unknown config key {key!r} (at position 2)" in captured.err

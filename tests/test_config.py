@@ -1,5 +1,6 @@
 """Flat key-value configuration."""
 
+import math
 from dataclasses import fields, replace
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from zetalab import (
     Config,
     DomainError,
+    EvalSettings,
     ParseError,
     ResourceLimitError,
     dump_config,
@@ -14,6 +16,8 @@ from zetalab import (
     parse_config,
 )
 from zetalab.config import ENV_VAR, override
+
+REMOVED_KEYS = ["euler_maclaurin_terms", "bernoulli_order", "divisor_table_size"]
 
 
 class TestParse:
@@ -24,19 +28,20 @@ class TestParse:
         text = "# a comment\n\nthreads = 4   # trailing comment\n"
         assert parse_config(text).threads == 4
 
-    def test_auto_terms_means_none(self):
-        cfg = parse_config("euler_maclaurin_terms = auto\n")
-        assert cfg.euler_maclaurin_terms is None
-
-    def test_explicit_terms(self):
-        cfg = parse_config("euler_maclaurin_terms = 4096\n")
-        assert cfg.euler_maclaurin_terms == 4096
-
     def test_unknown_key_reports_line(self):
         with pytest.raises(ParseError) as exc:
             parse_config("threads = 2\nfrobnicate = 1\n")
         assert exc.value.position == 2
         assert "frobnicate" in str(exc.value)
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_is_unknown(self, key):
+        # N and q are worked out from target_abs_error; the afe2 table
+        # limit is a constant of the CLI
+        with pytest.raises(ParseError) as exc:
+            parse_config(f"threads = 2\n{key} = 12\n")
+        assert exc.value.position == 2
+        assert f"unknown config key {key!r}" in str(exc.value)
 
     def test_duplicate_key_reports_line(self):
         with pytest.raises(ParseError) as exc:
@@ -64,23 +69,18 @@ class TestParse:
 class TestRoundTrip:
     def test_dump_then_parse_is_identity(self):
         cfg = Config(
-            euler_maclaurin_terms=None,
-            bernoulli_order=8,
             target_abs_error=1e-10,
             points_per_panel=12,
             width_scale=0.375,
             threads=3,
             output_dir="out",
-            divisor_table_size=20_000,
         )
         assert parse_config(dump_config(cfg)) == cfg
 
     @pytest.mark.parametrize("name", [f.name for f in fields(Config)])
     def test_every_field_round_trips(self, name):
         default = getattr(Config(), name)
-        if default is None:
-            changed = 4096
-        elif isinstance(default, str):
+        if isinstance(default, str):
             changed = default + "_x"
         else:
             changed = default + 1 if isinstance(default, int) else default / 2
@@ -89,21 +89,23 @@ class TestRoundTrip:
         assert parsed == cfg
         assert type(getattr(parsed, name)) is type(changed)
 
-    def test_dump_renders_auto(self):
-        assert "euler_maclaurin_terms = auto" in dump_config(Config())
+    def test_five_fields(self):
+        assert [f.name for f in fields(Config)] == [
+            "target_abs_error", "points_per_panel", "width_scale", "threads", "output_dir"
+        ]
 
 
 class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"euler_maclaurin_terms": 1},
-            {"bernoulli_order": 0},
             {"target_abs_error": 0.0},
+            {"target_abs_error": -1e-13},
+            {"target_abs_error": math.nan},
             {"points_per_panel": 1},
             {"width_scale": 0.0},
+            {"width_scale": math.nan},
             {"threads": 0},
-            {"divisor_table_size": 0},
         ],
     )
     def test_rejects(self, kwargs):
@@ -119,10 +121,10 @@ class TestValidation:
             override(Config(), threads=100_000)
 
     def test_settings_projections(self):
-        cfg = Config(points_per_panel=8, width_scale=0.5, threads=2, bernoulli_order=6)
+        cfg = Config(points_per_panel=8, width_scale=0.5, threads=2, target_abs_error=1e-10)
         assert cfg.quadrature_settings().points_per_panel == 8
         assert cfg.quadrature_settings().threads == 2
-        assert cfg.eval_settings().bernoulli_order == 6
+        assert cfg.eval_settings() == EvalSettings(target_abs_error=1e-10)
 
 
 class TestLoad:

@@ -43,10 +43,17 @@ class TestDivisorSieve:
         assert int(table.d[1:11].sum()) == 27
 
     def test_matches_trial_division(self, table):
+        def count(n):
+            pairs = sum(1 for m in range(1, math.isqrt(n) + 1) if n % m == 0)
+            return 2 * pairs - (1 if math.isqrt(n) ** 2 == n else 0)
+
         for n in range(1, 10001):
-            count = sum(1 for m in range(1, int(math.isqrt(n)) + 1) if n % m == 0)
-            count = 2 * count - (1 if math.isqrt(n) ** 2 == n else 0)
-            assert table[n] == count
+            assert table[n] == count(n)
+        # the sieve stops at sqrt(size): tables ending at or around a square
+        for size in (1, 2, 3, 4, 99, 100, 101):
+            small = DivisorTable(size)
+            assert small.d[0] == 0
+            assert [int(v) for v in small.d[1:]] == [count(n) for n in range(1, size + 1)]
 
     def test_dirichlet_identity(self, table):
         # sum_{n<=u} d(n) = sum_{m<=u} floor(u/m)

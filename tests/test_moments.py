@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from zetalab import moments
 from zetalab import (
     DegenerateFitError,
     DomainError,
@@ -22,7 +23,12 @@ from zetalab import (
 )
 from zetalab.errors import ResourceLimitError
 from zetalab.quadrature import integrate
-from zetalab.zeta import _dirichlet_sum, zeta_grid_multi
+from zetalab.zeta import _MAX_WEIGHT_TERMS, _dirichlet_sum, zeta_grid_multi
+
+
+def _no_kernel(*args, **kwargs):
+    raise AssertionError("a zeta or Dirichlet-polynomial kernel was reached")
+
 
 # Independent oracle: fourth moment times |zeta(3/4+it)|^2 over [0, 100],
 # computed with mpmath zeta at 30 digits under composite Simpson with
@@ -275,6 +281,15 @@ class TestSplit:
         with pytest.raises(ResourceLimitError):
             split_i1_i2(96.0, 0.75, smoothing)
 
+    def test_polynomial_beyond_weight_cap(self, monkeypatch):
+        monkeypatch.setattr(moments, "_dirichlet_sum", _no_kernel)
+        monkeypatch.setattr(moments, "zeta_grid_multi", _no_kernel)
+        log_sq = math.log(2000.0) ** 2
+        smoothing = (_MAX_WEIGHT_TERMS + 1.5) / log_sq
+        assert math.floor(smoothing * log_sq) == _MAX_WEIGHT_TERMS + 1
+        with pytest.raises(ResourceLimitError, match="Y log"):
+            split_i1_i2(2000.0, 0.75, smoothing)
+
     def test_non_finite_t(self):
         with pytest.raises(DomainError):
             split_i1_i2(math.nan, 0.75, 8.0)
@@ -343,6 +358,13 @@ class TestWatt:
     def test_desk_scale_limit(self):
         with pytest.raises(ResourceLimitError):
             watt_ratio(5000.0, 1, [1.0])
+
+    def test_weight_beyond_cap(self, monkeypatch):
+        monkeypatch.setattr(moments, "_dirichlet_sum", _no_kernel)
+        monkeypatch.setattr(moments, "zeta_grid_multi", _no_kernel)
+        m = _MAX_WEIGHT_TERMS + 1
+        with pytest.raises(ResourceLimitError, match="weight terms"):
+            watt_ratio(2000.0, m, np.ones(m))
         with pytest.raises(ResourceLimitError):  # the guard precedes the zero-peak return
             watt_ratio(5000.0, 3, [0.0, 0.0, 0.0])
 

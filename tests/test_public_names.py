@@ -1,6 +1,6 @@
 """Every public name the package exports, every function the benchmark's
-tracer wraps, and every layer attribute its workloads and probes reach,
-resolves on the installed package.
+tracer wraps, every layer attribute its workloads and probes reach, and
+every settings attribute it reads, resolves on the installed package.
 
 perfbench/spans.py, workloads.py and probes.py are read with ast, not
 imported, and never changed: the Tracer calls getattr on each (module,
@@ -82,6 +82,36 @@ def test_benchmark_reaches_the_layers():
 def test_thread_setting_constructs():
     # perfbench's threads operation and thread probe build this
     assert QuadratureSettings(threads=2).threads == 2
+
+
+def _settings_reads() -> tuple[set, set]:
+    """The attributes spans.py reads off a `settings` value (the
+    integrate hook's QuadratureSettings), and the keywords workloads.py
+    and probes.py pass to QuadratureSettings(...)."""
+    reads = {
+        node.attr
+        for node in ast.walk(ast.parse(SPANS.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "settings"
+    }
+    keywords = set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "QuadratureSettings":
+                keywords |= {kw.arg for kw in node.keywords}
+    return reads, keywords
+
+
+def test_benchmark_settings_attributes_exist():
+    # a settings knob cut must not break traced benchmark runs
+    reads, keywords = _settings_reads()
+    assert "points_per_panel" in reads and "threads" in keywords  # not vacuous
+    settings = QuadratureSettings()
+    assert isinstance(settings.points_per_panel, int)
+    assert settings.threads == 1
+    for name in reads | keywords:
+        assert hasattr(settings, name)
 
 
 def test_package_all_resolves():

@@ -37,6 +37,7 @@ from zetalab.zeta import (
     DEFAULT_SETTINGS,
     _choose_terms,
     _remainder_log_bound,
+    _zeta_at,
     bernoulli_numbers,
     default_smoothing_truncation,
     partial_zeta_sum,
@@ -88,16 +89,20 @@ class TestZetaValues:
         with pytest.raises(DomainError, match="s must be finite"):
             zeta(s)
 
-    def test_precision_error_when_terms_fixed_too_small(self):
-        bad = EvalSettings(euler_maclaurin_terms=2, bernoulli_order=2)
-        with pytest.raises(PrecisionError):
-            zeta(0.5 + 500j, bad)
-
     def test_doubling_terms_is_stable(self):
         for s in (0.75 + 50j, 0.5 + 200j, 0.3 + 14.1347j):
             auto = _choose_terms(s, DEFAULT_SETTINGS)
-            doubled = EvalSettings(euler_maclaurin_terms=2 * auto)
-            assert abs(zeta(s) - zeta(s, doubled)) <= 1e-12
+            assert abs(zeta(s) - _zeta_at(s, 2 * auto)) <= 1e-12
+
+    @pytest.mark.parametrize("sigma", [-1.0, -0.25, 0.5, 0.75, 1.0, 2.0])
+    def test_zeta_is_the_value_at_the_chosen_length(self, sigma):
+        for t in (0.0, 3.5, 14.134725, 100.0, 1e3, 4750.0, 1e4):
+            s = complex(sigma, t)
+            if s == 1:
+                continue
+            expected = _zeta_at(s, _choose_terms(s, DEFAULT_SETTINGS))
+            got = zeta(s)
+            assert (got.real, got.imag) == (expected.real, expected.imag)  # bitwise
 
     def test_bernoulli_numbers(self):
         from fractions import Fraction as F
@@ -109,12 +114,9 @@ class TestZetaValues:
         assert b[8] == F(-1, 30)
 
     def test_settings_validation(self):
-        with pytest.raises(DomainError):
-            EvalSettings(bernoulli_order=0)
-        with pytest.raises(DomainError):
-            EvalSettings(target_abs_error=0.0)
-        with pytest.raises(DomainError):
-            EvalSettings(euler_maclaurin_terms=1)
+        for bad in (0.0, -1e-13, math.nan):
+            with pytest.raises(DomainError):
+                EvalSettings(target_abs_error=bad)
 
 
 def _assert_oracle_level(s: complex):
@@ -142,16 +144,16 @@ class TestAutoRule:
     @pytest.mark.parametrize("t", [0.0, 1.0, 14.0, 100.0, 1e3, 1e4, 1e5])
     def test_minimal(self, sigma, t):
         s = complex(sigma, t)
-        q = DEFAULT_SETTINGS.bernoulli_order
         log_target = math.log(DEFAULT_SETTINGS.target_abs_error)
         n = _choose_terms(s, DEFAULT_SETTINGS)
-        assert _remainder_log_bound(s, n, q) <= log_target
-        assert n == 2 or _remainder_log_bound(s, n - 1, q) > log_target
+        assert _remainder_log_bound(s, n) <= log_target
+        assert n == 2 or _remainder_log_bound(s, n - 1) > log_target
         assert n <= max(50, math.ceil(2 * t))  # the former start of the search
 
     def test_unreachable_target_raises(self):
-        with pytest.raises(PrecisionError):
-            zeta(0.5 + 100j, EvalSettings(target_abs_error=1e-300, bernoulli_order=1))
+        # with q = 12 the target 1e-300 needs log N of about 30, past log 2^24
+        with pytest.raises(PrecisionError, match="cannot reach target"):
+            zeta(0.5 + 100j, EvalSettings(target_abs_error=1e-300))
 
     @pytest.mark.parametrize(
         "s",
