@@ -11,8 +11,8 @@ deterministic panel quadrature.
 
 Asymptotic statements are not verifiable numerically; every harness
 here either checks an exact identity, compares against a documented
-oracle, or records ratios against bound shapes whose constants are
-configuration, not theorems.
+oracle, or records ratios against fixed bound shapes, which are
+regression yardsticks, not theorems.
 """
 
 from .errors import (

@@ -1,24 +1,14 @@
-"""Linear-fractional objectives over exponent pairs, with a small parser.
-
-An objective is (a*k + b*l + c) / (d*k + e*l + f) with exact rational
-coefficients.  The text grammar accepted by `parse_objective`:
-
-    objective  := part [ '/' part ]          (the '/' at paren depth 0)
-    part       := '(' linear ')' | linear
-    linear     := term (('+'|'-') term)*
-    term       := coeff? '*'? var | coeff
-    coeff      := integer [ '/' integer ]    (rational constants need the
-                                              whole part parenthesized,
-                                              e.g. "(1/2 + 6k)/(1 + 4k)")
-    var        := 'k' | 'l'
-
-Whitespace is ignored everywhere.  A missing denominator means 1.
-Nonlinear input (k*l, k*k, powers) is rejected with a position.
+"""Linear-fractional objectives over exponent pairs: num/den, both forms
+linear in (k, l) with exact coefficients, read from the text grammar
+OBJECTIVE_GRAMMAR by `parse_objective` and `parse_constraint` and
+minimized exactly over a finite pair set by `optimize`.  Whitespace is
+ignored, and a missing denominator means 1.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -30,12 +20,13 @@ OBJECTIVE_GRAMMAR = """\
 objective  := part [ '/' part ]          (the '/' at paren depth 0)
 part       := '(' linear ')' | linear
 linear     := term (('+'|'-') term)*
-term       := coeff? '*'? var | coeff
+term       := [ coeff [ '*' ] ] var | coeff
 coeff      := integer [ '/' integer ]
 var        := 'k' | 'l'
-constraint := linear op linear           op in { <, <=, =, >=, > }
+constraint := part op part               op in { <, <=, =, >=, > }
 Rational coefficients inside a ratio need parentheses,
-e.g. (1/2 + 6k)/(1 + 4k).  Objectives are minimized exactly.
+e.g. (1/2 + 6k)/(1 + 4k); a constraint needs none.  Objectives
+are minimized exactly; a parse error reports the leftmost fault.
 """
 
 
@@ -50,211 +41,138 @@ class LinearForm:
     def __call__(self, p: ExponentPair) -> Fraction:
         return self.ck * p.k + self.cl * p.l + self.const
 
-    def is_zero(self) -> bool:
-        return self.ck == 0 and self.cl == 0 and self.const == 0
+    def __sub__(self, other: LinearForm) -> LinearForm:
+        return LinearForm(self.ck - other.ck, self.cl - other.cl, self.const - other.const)
+
+    def __str__(self) -> str:
+        parts = []
+        for coeff, sym in ((self.ck, "k"), (self.cl, "l"), (self.const, "")):
+            if coeff == 0:
+                continue
+            sign = "-" if coeff < 0 else ("+" if parts else "")
+            mag = abs(coeff)
+            parts.append(f"{sign}{sym}" if sym and mag == 1 else f"{sign}{mag}{sym}")
+        return "".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
 class FractionalObjective:
-    """(a*k + b*l + c) / (d*k + e*l + f), all coefficients exact."""
+    """num / den, both linear forms in (k, l)."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    e: Fraction
-    f: Fraction
-
-    @property
-    def numerator(self) -> LinearForm:
-        return LinearForm(self.a, self.b, self.c)
-
-    @property
-    def denominator(self) -> LinearForm:
-        return LinearForm(self.d, self.e, self.f)
+    num: LinearForm
+    den: LinearForm
 
     def __str__(self) -> str:
-        return f"({_format_linear(self.a, self.b, self.c)})/({_format_linear(self.d, self.e, self.f)})"
+        return f"({self.num})/({self.den})"
 
 
-def _format_linear(ck: Fraction, cl: Fraction, const: Fraction) -> str:
-    parts = []
-    for coeff, sym in ((ck, "k"), (cl, "l"), (const, "")):
-        if coeff == 0:
-            continue
-        sign = "-" if coeff < 0 else ("+" if parts else "")
-        mag = abs(coeff)
-        if sym and mag == 1:
-            parts.append(f"{sign}{sym}")
-        else:
-            parts.append(f"{sign}{mag}{sym}" if sym else f"{sign}{mag}")
-    return "".join(parts) if parts else "0"
+_TOKEN = re.compile(r"\s*(\d+|\S)")
+_VARS = {"k": 0, "K": 0, "l": 1, "L": 1}  # index of the coefficient in a LinearForm
 
 
-class _Scanner:
-    """Character scanner that skips whitespace and tracks source positions."""
+class _Tokens:
+    """(token, position) of each integer or character in text[start:stop], then ("", stop)."""
 
-    def __init__(self, text: str, offset: int = 0):
-        self.text = text
-        self.pos = 0
-        self.offset = offset  # position of text[0] in the original input
+    def __init__(self, text: str, start: int, stop: int):
+        self.toks = [(m[1], m.start(1)) for m in _TOKEN.finditer(text, start, stop)]
+        self.toks.append(("", stop))
+        self.i = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def peek(self, ahead: int = 0) -> str:
+        return self.toks[self.i + ahead][0]
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def here(self) -> int:
-        self.skip_ws()
-        return self.offset + self.pos
+    def take(self) -> tuple[str, int]:
+        self.i += 1
+        return self.toks[self.i - 1]
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.here())
+        tok, pos = self.toks[self.i]
+        return ParseError(f"{message}, found {repr(tok) if tok else 'the end'}", pos)
 
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+    def expect(self, tok: str):
+        if self.peek() != tok:
+            raise self.error(f"expected {tok!r}" if tok else "expected the end")
+        self.take()
 
 
-def _parse_linear(sc: _Scanner) -> LinearForm:
-    ck = cl = const = Fraction(0)
-    first = True
+def _integer(toks: _Tokens) -> tuple[int, int]:
+    tok, pos = toks.take()
+    try:
+        return int(tok), pos
+    except ValueError:  # beyond the interpreter's int-string digit limit
+        raise ParseError(f"integer literal of {len(tok)} digits is too long", pos) from None
+
+
+def _term(toks: _Tokens, ratios: bool) -> tuple[int, Fraction]:
+    """(index in a LinearForm: 0 k, 1 l, 2 constant; coefficient) of one term."""
+    coeff = Fraction(1)
+    if toks.peek().isdecimal():
+        coeff = Fraction(_integer(toks)[0])
+        if ratios and toks.peek() == "/" and toks.peek(1).isdecimal():
+            toks.take()
+            den, pos = _integer(toks)
+            if den == 0:
+                raise ParseError("zero denominator in coefficient", pos)
+            coeff /= den
+        if toks.peek() == "*":
+            toks.take()
+            if toks.peek() not in _VARS:
+                raise toks.error("expected k or l after '*'")
+        elif toks.peek() not in _VARS:
+            return 2, coeff
+    if toks.peek() not in _VARS:
+        raise toks.error("expected a term")
+    index = _VARS[toks.take()[0]]
+    if toks.peek() in _VARS or toks.peek() in ("*", "^") or toks.peek().isdecimal():
+        raise toks.error("nonlinear term: objectives must be linear in k and l")
+    return index, coeff
+
+
+def _linear(toks: _Tokens, ratios: bool) -> LinearForm:
+    coeffs = [Fraction(0)] * 3
     while True:
-        ch = sc.peek()
-        if ch == "":
-            if first:
-                raise sc.error("empty expression")
-            break
-        # sign
-        sign = 1
-        if ch in "+-":
-            sign = -1 if ch == "-" else 1
-            sc.take()
-        elif not first:
-            break  # caller handles ')', end of part, etc.
-        first = False
-        # coefficient (optional) then variable (optional), at least one required
-        coeff: Optional[Fraction] = None
-        ch = sc.peek()
-        if ch.isdigit():
-            num = sc.integer()
-            den = 1
-            if sc.peek() == "/":
-                save = sc.pos
-                sc.take()
-                if sc.peek().isdigit():
-                    den = sc.integer()
-                    if den == 0:
-                        raise sc.error("zero denominator in coefficient")
-                else:
-                    sc.pos = save  # the '/' splits numerator from denominator
-            coeff = Fraction(num, den)
-            if sc.peek() == "*":
-                sc.take()
-        ch = sc.peek()
-        if ch in ("k", "K"):
-            sc.take()
-            _reject_nonlinear(sc)
-            ck += sign * (coeff if coeff is not None else Fraction(1))
-        elif ch in ("l", "L"):
-            sc.take()
-            _reject_nonlinear(sc)
-            cl += sign * (coeff if coeff is not None else Fraction(1))
-        elif coeff is not None:
-            const += sign * coeff
-        else:
-            raise sc.error(f"expected a term, found {ch!r}" if ch else "expected a term")
-    return LinearForm(ck, cl, const)
+        sign = -1 if toks.peek() == "-" else 1
+        if toks.peek() in ("+", "-"):
+            toks.take()
+        index, coeff = _term(toks, ratios)
+        coeffs[index] += sign * coeff
+        if toks.peek() not in ("+", "-"):
+            return LinearForm(*coeffs)
 
 
-def _reject_nonlinear(sc: _Scanner):
-    ch = sc.peek()
-    if ch in ("k", "K", "l", "L", "*", "^"):
-        raise sc.error("nonlinear term: objectives must be linear in k and l")
-    if ch.isdigit():
-        raise sc.error("variable followed by a number: write the coefficient first")
-
-
-def _parse_part(text: str, offset: int) -> LinearForm:
-    sc = _Scanner(text, offset)
-    if sc.peek() == "(":
-        sc.take()
-        form = _parse_linear(sc)
-        if sc.peek() != ")":
-            raise sc.error("expected ')'")
-        sc.take()
-    else:
-        form = _parse_linear(sc)
-    if sc.peek() != "":
-        raise sc.error(f"unexpected {sc.peek()!r}")
+def _part(toks: _Tokens, ratios: bool) -> LinearForm:
+    """An integer/integer is a coefficient in parentheses, and also outside if `ratios`."""
+    if toks.peek() != "(":
+        return _linear(toks, ratios)
+    toks.take()
+    form = _linear(toks, True)
+    toks.expect(")")
     return form
 
 
-def _split_ratio(text: str) -> tuple[str, int, Optional[str], Optional[int]]:
-    """Split at the single '/' at paren depth 0, if any.
-
-    Returns (numerator_text, numerator_offset, denominator_text,
-    denominator_offset).  Rational coefficients at top level must be
-    parenthesized, otherwise their '/' would be ambiguous here.
-    """
-    depth = 0
-    split_at = None
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced ')'", i)
-        elif ch == "/" and depth == 0:
-            if split_at is not None:
-                raise ParseError(
-                    "more than one '/' at top level; parenthesize rational "
-                    "coefficients, e.g. (1/2 + 6k)/(1 + 4k)",
-                    i,
-                )
-            split_at = i
-    if depth != 0:
-        raise ParseError("unbalanced '('", len(text))
-    if split_at is None:
-        return text, 0, None, None
-    return text[:split_at], 0, text[split_at + 1 :], split_at + 1
-
-
 def parse_objective(text: str) -> FractionalObjective:
-    """Parse "(5k + l)/(4k + 1)" style text into exact coefficients."""
-    if not text or not text.strip():
+    """Parse "(5k + l)/(4k + 1)" style text into exact coefficients.  At
+    the top level a '/' divides the parts, so "11/8 k" is 11/(8k)."""
+    if not text.strip():
         raise ParseError("empty objective", 0)
-    num_text, num_off, den_text, den_off = _split_ratio(text)
-    num = _parse_part(num_text, num_off)
-    if den_text is None:
-        den = LinearForm(Fraction(0), Fraction(0), Fraction(1))
-    else:
-        den = _parse_part(den_text, den_off)
-    if den.is_zero():
-        raise ParseError("denominator is identically zero", den_off or 0)
-    return FractionalObjective(num.ck, num.cl, num.const, den.ck, den.cl, den.const)
+    toks = _Tokens(text, 0, len(text))
+    num = _part(toks, False)
+    den, den_at = LinearForm(Fraction(0), Fraction(0), Fraction(1)), 0
+    if toks.peek() == "/":
+        den_at = toks.take()[1] + 1
+        den = _part(toks, False)
+    toks.expect("")
+    if not (den.ck or den.cl or den.const):
+        raise ParseError("denominator is identically zero", den_at)
+    return FractionalObjective(num, den)
 
 
 def eval_objective(obj: FractionalObjective, p: ExponentPair) -> Fraction:
     """Exact value of obj at the pair; division-by-zero is a domain error."""
-    den = obj.denominator(p)
+    den = obj.den(p)
     if den == 0:
         raise DomainError(f"objective denominator vanishes at {p}")
-    return obj.numerator(p) / den
+    return obj.num(p) / den
 
 
 # parse_constraint tries these in order, so "<=" is found before "<" and "="
@@ -274,19 +192,22 @@ class LinearConstraint:
         return _COMPARATORS[self.op](self.form(p), 0)
 
     def __str__(self) -> str:
-        return self.text or f"{_format_linear(self.form.ck, self.form.cl, self.form.const)} {self.op} 0"
+        return self.text or f"{self.form} {self.op} 0"
+
+
+def _whole_part(text: str, start: int, stop: int) -> LinearForm:
+    toks = _Tokens(text, start, stop)
+    form = _part(toks, True)
+    toks.expect("")
+    return form
 
 
 def parse_constraint(text: str) -> LinearConstraint:
     """Parse "k + l < 1" style text (both sides linear in k, l)."""
     for op in _COMPARATORS:
-        idx = text.find(op)
-        if idx >= 0:
-            lhs = _parse_part(text[:idx], 0)
-            rhs = _parse_part(text[idx + len(op) :], idx + len(op))
-            form = LinearForm(
-                lhs.ck - rhs.ck, lhs.cl - rhs.cl, lhs.const - rhs.const
-            )
+        at = text.find(op)
+        if at >= 0:
+            form = _whole_part(text, 0, at) - _whole_part(text, at + len(op), len(text))
             return LinearConstraint(form, op, text.strip())
     raise ParseError("no comparator (<, <=, >, >=, =) in constraint", 0)
 
@@ -303,19 +224,16 @@ def optimize(
     (value, k, l), so the result is independent of input order.  No
     claim is made beyond the supplied set.
     """
-    best: Optional[tuple[Fraction, Fraction, Fraction]] = None
-    best_pair: Optional[ExponentPair] = None
+    best: Optional[tuple[tuple[Fraction, Fraction, Fraction], ExponentPair]] = None
     for p in pairs:
         if constraint is not None and not constraint.satisfied(p):
             continue
-        if obj.denominator(p) == 0:
+        den = obj.den(p)
+        if den == 0:
             continue
-        value = eval_objective(obj, p)
-        rank = (value, p.k, p.l)
-        if best is None or rank < best:
-            best = rank
-            best_pair = p
-    if best_pair is None or best is None:
+        rank = (obj.num(p) / den, p.k, p.l)
+        if best is None or rank < best[0]:
+            best = rank, p
+    if best is None:
         raise EmptyResultError("no pair satisfies the constraint and objective domain")
-    return best_pair, best[0]
-
+    return best[1], best[0][0]

@@ -291,8 +291,8 @@ def zeta_grid_multi(
     refuses what zeta() refuses: _check_domain runs for each sigma at the
     largest |t| and, when a node is 0, at t = 0."""
     ts = np.asarray(ts, dtype=np.float64)
-    if ts.size == 0:
-        return np.zeros((len(sigmas), 0), dtype=np.complex128)
+    if ts.size == 0 or len(sigmas) == 0:
+        return np.zeros((len(sigmas), ts.size), dtype=np.complex128)
     t_extreme = float(ts[np.argmax(np.abs(ts))])  # the largest |t|, or a NaN t
     zero_node = bool(np.any(ts == 0))
     for sig in sigmas:

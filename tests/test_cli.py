@@ -120,6 +120,20 @@ class TestPairs:
         err = capsys.readouterr().err
         assert "objective  := part" in err and "parse error" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--objective", "9" * 5000 + "k"],
+            ["--objective", "k", "--constraint", "9" * 5000 + "k < 1"],
+            ["--objective", "2*"],
+            ["--objective", "k", "--constraint", "2* < 3"],
+        ],
+        ids=["long-objective-literal", "long-constraint-literal", "dangling-star", "dangling-star-constraint"],
+    )
+    def test_optimize_refuses_malformed_text(self, flags, capsys):
+        assert main(["pairs", "optimize", *flags, "--depth", "1"]) == 1
+        assert "parse error" in capsys.readouterr().err
+
     def test_optimize_empty_result(self, capsys):
         assert main(["pairs", "optimize", "--objective", "k", "--constraint", "l < 1/2"]) == 2
 

@@ -1,4 +1,5 @@
-"""The README's command-line examples print what the README shows."""
+"""The README's command-line examples print what the README shows, and
+its objective grammar is the parser's."""
 
 import shlex
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from zetalab.cli import main
+from zetalab.objectives import OBJECTIVE_GRAMMAR
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -40,3 +42,11 @@ def test_readme_has_the_examples():
 def test_example_output(command, expected, capsys):
     assert main(shlex.split(command)) == 0
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_grammar_block_is_the_parser_grammar():
+    """The "Objective grammar" block is the grammar lines of OBJECTIVE_GRAMMAR."""
+    section = README.read_text().split("### Objective grammar", 1)[1]
+    block = section.split("```\n", 2)[1]
+    grammar = [line for line in OBJECTIVE_GRAMMAR.splitlines() if ":=" in line]
+    assert block.splitlines() == grammar

@@ -191,6 +191,9 @@ class TestZetaGrid:
     def test_empty_ts(self):
         assert zeta_grid_multi([0.5], np.array([])).shape == (1, 0)
 
+    def test_empty_sigmas(self):
+        assert zeta_grid_multi([], np.array([1.0, 2.0, 3.0])).shape == (0, 3)
+
     def test_pole_and_domain(self):
         with pytest.raises(PoleError):
             zeta_grid_multi([1.0], np.array([0.0, 5.0]))
