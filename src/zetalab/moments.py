@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     DegenerateFitError,
@@ -232,7 +231,8 @@ def _critical_profile(t_hi: float, eval_settings: EvalSettings):
     npts = int(round(t_hi / _PROFILE_STEP)) + 1
     grid = np.linspace(0.0, t_hi, npts)
     vals = np.abs(zeta_grid_multi([0.5], grid, eval_settings)[0])
-    cum = cumulative_trapezoid(vals, grid, initial=0.0)
+    steps = 0.5 * np.diff(grid) * (vals[1:] + vals[:-1])  # the trapezoid rule
+    cum = np.concatenate(([0.0], np.cumsum(steps)))
 
     def profile(u: np.ndarray) -> np.ndarray:
         return np.sign(u) * np.interp(np.abs(u), grid, cum)

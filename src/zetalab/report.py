@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import loggamma
 
 from . import pairs as pairs_mod
 from . import thresholds
@@ -39,6 +38,7 @@ from .moments import MomentSpec, integrate_moment, sixth_moment_probe, watt_rati
 from .zeta import (
     EvalSettings,
     _choose_terms,
+    _log_gamma,
     _zeta_at,
     afe_simple,
     afe_zeta_squared,
@@ -190,9 +190,7 @@ def smooth_residual(
     s = complex(s)
     if value is None:
         value = smoothed_sum(s, smoothing, None)
-    residue = cmath.exp(
-        complex(loggamma(1 - s)) + (1 - s) * math.log(smoothing)
-    )
+    residue = cmath.exp(_log_gamma(1 - s) + (1 - s) * math.log(smoothing))
     return abs(value - zeta(s, settings) - residue)
 
 

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import zetalab
 from zetalab import cli, moments, pairs, quadrature, report
 from zetalab.cli import main
 from zetalab.config import ENV_VAR
@@ -486,6 +489,28 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert proc.stdout == expected
+
+
+def test_import_leaves_out_scipy_and_mpmath():
+    """No source file of the package names scipy, and a fresh interpreter
+    that imports zetalab.cli has no scipy or mpmath module loaded: either
+    import would add a large share of every command's start-up time and
+    resident memory."""
+    package = Path(zetalab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        assert "scipy" not in path.read_text(encoding="utf-8"), path.name
+    code = (
+        "import sys, zetalab.cli; "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def out_line(capsys, index: int) -> str:

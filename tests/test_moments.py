@@ -23,7 +23,7 @@ from zetalab import (
 )
 from zetalab.errors import ResourceLimitError
 from zetalab.quadrature import integrate
-from zetalab.zeta import _MAX_WEIGHT_TERMS, _dirichlet_sum, zeta_grid_multi
+from zetalab.zeta import DEFAULT_SETTINGS, _MAX_WEIGHT_TERMS, _dirichlet_sum, zeta_grid_multi
 
 
 def _no_kernel(*args, **kwargs):
@@ -102,6 +102,28 @@ class TestIntegrateMoment:
     def test_desk_scale_limit(self):
         with pytest.raises(ResourceLimitError):
             integrate_moment(MomentSpec(0.75, 1, 0.0, 2.0e4))
+
+    def test_second_moment_error_term_mean(self):
+        """Ingham: integral_0^T |zeta(1/2+it)|^2 dt = T log(T/2 pi) +
+        (2 gamma - 1) T + E(T), and (Atkinson; Hafner-Ivic) integral_0^T E
+        = pi T + O(T^{3/4}).  The mean of E over [0, T] is one weighted
+        integral, integral_0^T (T - u) |zeta(1/2+iu)|^2 du, minus the closed
+        form T^2/2 log(T/2 pi) - T^2/4 + (2 gamma - 1) T^2/2.  A relative
+        bias delta in the integral moves the mean by about
+        delta (T/2) log(T/2 pi), 0.025 for delta = 1e-5, so this checks
+        panels, rule, kernel and tail against a constant none of them
+        knows; the O(T^{-1/4}) remainder sets the loose pin (3.132 read)."""
+        big_t = 1000.0
+        res = moments._moment(
+            [(0.5, 2)], 0.0, big_t, QuadratureSettings(), DEFAULT_SETTINGS,
+            weight=lambda ts: big_t - ts,
+        )
+        closed = (
+            big_t**2 / 2 * math.log(big_t / (2 * math.pi))
+            - big_t**2 / 4
+            + (2 * np.euler_gamma - 1) * big_t**2 / 2
+        )
+        assert abs((res.value - closed) / big_t - math.pi) <= 0.5
 
     def test_stall_raises_precision_error(self):
         # |zeta(1/2+it)|^8 dips to an octic zero near t = 14.13; two-point

@@ -14,7 +14,6 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.special import loggamma
 
 from zetalab import (
     DivisorTable,
@@ -36,6 +35,7 @@ from zetalab.quadrature import panel_edges
 from zetalab.zeta import (
     DEFAULT_SETTINGS,
     _choose_terms,
+    _log_gamma,
     _remainder_log_bound,
     _zeta_at,
     bernoulli_numbers,
@@ -303,6 +303,61 @@ class TestGridTaylorShift:
         )
 
 
+def _log_gamma_error(z: complex) -> float:
+    """|_log_gamma(z) - log Gamma(z)| modulo 2 pi i, relative to
+    max(1, |log Gamma(z)|), against 40-digit mpmath."""
+    with mpmath.workdps(40):
+        ref = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
+        diff = mpmath.mpc(_log_gamma(z)) - ref
+        diff -= 2j * mpmath.pi * mpmath.nint(diff.imag / (2 * mpmath.pi))
+        return float(abs(diff) / max(1, abs(ref)))
+
+
+# 90 eps: over 20,000 draws of z = 1 - s the worst error read 7.3e-15,
+# at the reflection and near the poles it read below 1e-15
+LOG_GAMMA_REL_TOL = 2e-14
+
+
+class TestLogGamma:
+    def test_against_mpmath(self):
+        """z = 1 - s for sigma in [-1, 2] and 0.1 <= |t| <= 1e6,
+        log-uniform in |t| with both signs: the chi and smoothed-sum
+        residue arguments, on the shift path and in Stirling's series."""
+        rng = np.random.default_rng(16)
+        n = 2000
+        ts = rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-1.0, 6.0, n)
+        sigmas = rng.uniform(-1.0, 2.0, n)
+        worst = max(_log_gamma_error(complex(1 - a, -b)) for a, b in zip(sigmas, ts))
+        assert worst <= LOG_GAMMA_REL_TOL
+
+    def test_reflection_against_mpmath(self):
+        """Left of Re z = -1, where Stirling's series alone would sit
+        near the negative axis: chi(s) for sigma > 2."""
+        rng = np.random.default_rng(17)
+        n = 500
+        re_z = rng.uniform(-60.0, -1.0, n)
+        im_z = rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-3.0, 3.0, n)
+        worst = max(_log_gamma_error(complex(a, b)) for a, b in zip(re_z, im_z))
+        assert worst <= LOG_GAMMA_REL_TOL
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 8, 9, 40])
+    def test_near_poles(self, k):
+        """Within 1e-12 of a pole the shift product, or the reflected sine,
+        carries the small factor without cancellation."""
+        for d in (1e-12, -1e-12, -1e-9, 1e-5, 0.5):
+            for e in (0.0, 1e-13, -1e-6):
+                assert _log_gamma_error(complex(-k + d, e)) <= LOG_GAMMA_REL_TOL, (k, d, e)
+
+    @pytest.mark.parametrize("z", [0j, complex(0.0, -0.0), -1 + 0j, -2 + 0j, -7 + 0j, -50 + 0j])
+    def test_poles_are_nan(self, z):
+        value = _log_gamma(z)
+        assert math.isnan(value.real) and math.isnan(value.imag)
+
+    def test_non_finite_is_nan(self):
+        for z in (complex(math.inf, 0.0), complex(-math.inf, 1.0), complex(math.nan, 0.0)):
+            assert cmath.isnan(_log_gamma(z))
+
+
 class TestChi:
     def test_symmetry_point(self):
         assert abs(chi(0.5) - 1) <= 1e-12
@@ -438,7 +493,7 @@ class TestSmoothedSum:
         z = zeta(s)
         residuals = []
         for y in (1e2, 1e3, 1e4):
-            gamma_term = cmath.exp(complex(loggamma(1 - s)) + (1 - s) * math.log(y))
+            gamma_term = cmath.exp(complex(mpmath.loggamma(1 - s)) + (1 - s) * math.log(y))
             residuals.append(abs(smoothed_sum(s, y) - z - gamma_term))
         assert residuals[0] > residuals[1] > residuals[2]
         for y, r in zip((1e2, 1e3, 1e4), residuals):
