@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import report
 from .config import Config, load_config, override
-from .dirichlet import DivisorTable
+from .dirichlet import DivisorTable, _term_count
 from .errors import (
     DomainError,
     EmptyResultError,
@@ -45,7 +45,7 @@ from .thresholds import (
     theorem1_sigma,
     theorem2_sigma,
 )
-from .zeta import _MAX_WEIGHT_TERMS, _term_count, zeta
+from .zeta import _MAX_WEIGHT_TERMS, zeta
 
 _ff = report.fmt_float
 _fr = report.fmt_rational
@@ -53,7 +53,6 @@ _fr = report.fmt_rational
 # and output grow like the square of the range's top (2:1000 prints
 # 0.78 MB in 0.06 s, 2:2000 prints 3.1 MB)
 _MAX_Q = 1000
-_MAX_AFE2_TABLE = 100_000  # largest n `zeta afe2` sieves d(n) for
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,19 +225,13 @@ def cmd_zeta_afe2(args, config: Config) -> int:
             raise ParseError(f"--x must be a number or 'balanced', got {args.x!r}", 0) from None
     if not math.isfinite(x):
         raise DomainError(f"cutoff x must be finite, got x = {x} at t = {args.t}")
-    if int(x) > _MAX_AFE2_TABLE:
-        raise ResourceLimitError(
-            f"cutoff x = {x:g} needs a divisor table beyond the limit {_MAX_AFE2_TABLE}"
-        )
     row, _ = report.afe2_row(args.sigma, args.t, x, DivisorTable(max(int(x), 1)), es)
     _emit(report.emit_csv(report.ZETA_CSV_HEADER, [row]))
     return 0
 
 
 def cmd_zeta_smooth(args, config: Config) -> int:
-    row, _ = report.smooth_row(
-        complex(args.sigma, args.t), args.Y, config.eval_settings(), args.multiplier
-    )
+    row, _ = report.smooth_row(complex(args.sigma, args.t), args.Y, config.eval_settings())
     _emit(report.emit_csv(report.ZETA_CSV_HEADER, [row]))
     return 0
 
@@ -293,7 +286,7 @@ def cmd_moment_split(args, config: Config) -> int:
 def cmd_moment_watt(args, config: Config) -> int:
     coeffs = _parse_coeffs(args.coeffs)
     lhs, rhs, ratio = watt_ratio(
-        args.T, len(coeffs), coeffs, config.quadrature_settings(), config.eval_settings()
+        args.T, coeffs, config.quadrature_settings(), config.eval_settings()
     )
     row = [_ff(args.T), str(len(coeffs)), _ff(lhs.value), _ff(rhs), _ff(ratio)]
     _emit(report.emit_csv("T,M,lhs,rhs,ratio", [row]))
@@ -301,11 +294,9 @@ def cmd_moment_watt(args, config: Config) -> int:
 
 
 def cmd_moment_report(args, config: Config) -> int:
-    out_dir = args.out if args.out is not None else config.output_dir
     data = report.regression_data(config)
     _emit(report.render_report(data))
-    paths = report.write_regression_report(data, out_dir)
-    for path in paths:
+    for path in report.write_regression_report(data, args.out):
         _emit(f"written: {path}\n")
     return 0
 
@@ -314,7 +305,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="zetalab", description=__doc__)
     parser.add_argument("--config", help="config file path (else $ZETALAB_CONFIG)")
     parser.add_argument("--threads", type=int, help="override configured thread count")
-    parser.add_argument("--output-dir", help="override configured output directory")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     pairs = subs.add_parser("pairs", help="exact exponent-pair calculus")
@@ -369,7 +359,6 @@ def build_parser() -> _Parser:
     smooth_p.add_argument("--sigma", type=float, required=True)
     smooth_p.add_argument("--t", type=float, default=0.0)
     smooth_p.add_argument("--Y", type=float, required=True)
-    smooth_p.add_argument("--multiplier", type=float, help="truncation multiplier")
     smooth_p.set_defaults(func=cmd_zeta_smooth)
 
     fe_p = zeta_subs.add_parser("fe-check", help="functional-equation residuals")
@@ -404,7 +393,7 @@ def build_parser() -> _Parser:
     watt_p.set_defaults(func=cmd_moment_watt)
 
     rep_p = moment_subs.add_parser("report", help="write the regression table")
-    rep_p.add_argument("--out", help="output directory (default from config)")
+    rep_p.add_argument("--out", default=".", help="output directory")
     rep_p.set_defaults(func=cmd_moment_report)
 
     return parser
@@ -418,7 +407,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         config = load_config(args.config)
-        config = override(config, threads=args.threads, output_dir=args.output_dir)
+        config = override(config, threads=args.threads)
         return args.func(args, config)
     except ParseError as exc:
         sys.stderr.write(f"zetalab: parse error: {exc}\n")

@@ -1,10 +1,12 @@
 """Flat key-value configuration for the CLI.
 
 Format: one `key = value` per line, `#` starts a comment anywhere,
-blank lines ignored, unknown keys rejected.  Flags override config
-values; the only environment variable honored is ZETALAB_CONFIG, which
-names the config file when --config is absent.  Thread counts live here
-so runs are reproducible from (flags, config) alone, never from ambient
+blank lines ignored, unknown keys rejected.  The keys are Config's four
+fields; series lengths the code works out and the report directory
+(`moment report --out`) are not keys.  --threads overrides the file;
+the only environment variable honored is ZETALAB_CONFIG, which names
+the config file when --config is absent.  Thread counts live here so
+runs are reproducible from (flags, config) alone, never from ambient
 machine state.
 """
 
@@ -23,13 +25,12 @@ ENV_VAR = "ZETALAB_CONFIG"
 
 @dataclass(frozen=True)
 class Config:
-    """Effective settings: precision, quadrature and resources."""
+    """Effective settings: precision and quadrature."""
 
     target_abs_error: float = EvalSettings.target_abs_error
     points_per_panel: int = QuadratureSettings.points_per_panel
     width_scale: float = QuadratureSettings.width_scale
     threads: int = QuadratureSettings.threads
-    output_dir: str = "."
 
     def __post_init__(self):
         self.eval_settings()  # the settings objects validate their own fields

@@ -39,18 +39,23 @@ behaviour stay as they are; so do exact zeros, whose sign fsum decides.
 
 The divisor sums at one t share one phase row n^{it} and its prefix
 sums: a one-entry cache keyed on the bits of t (_phase_row).
+
+_MAX_TERMS = 2^22 bounds every exactly summed series of the package,
+here and in the zeta module, before anything of that length is
+allocated: about 100 bytes a term at peak, some 400 MiB at the cap.
 """
 
 from __future__ import annotations
 
 import math
 from math import fsum
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 
-_MAX_TABLE = 200_000_000  # int32 entries, ~800 MB; refuse beyond this
+_MAX_TERMS = 1 << 22  # the one cap on an exactly summed series (see above)
 _BLOCK = 8192
 _EXACT_MIN = 512  # terms; shorter sums go to fsum, which is as fast there
 _EXACT_MAX = 2**26  # terms; the extraction below is exact while k (k + 1) < 2^53
@@ -108,16 +113,16 @@ def _phase_row(t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     The entry is keyed on the bits of t, so no two floats share it, not
     even 0.0 and -0.0, and it is replaced as one tuple.  A longer request
-    for the same t grows it at least twofold, so ascending u costs
-    amortized O(u).  Cold and warm values are identical: log and exp act
-    elementwise, and _compensated_cumsum's prefix of a longer array is
-    the prefix of the shorter one.
+    for the same t grows it at least twofold, short of _MAX_TERMS, so
+    ascending u costs amortized O(u).  Cold and warm values are
+    identical: log and exp act elementwise, and _compensated_cumsum's
+    prefix of a longer array is the prefix of the shorter one.
     """
     global _phase_cache
     key = float(t).hex()
     held, row, prefix = _phase_cache
     if held != key or row.size < m:
-        size = max(m, 2 * row.size) if held == key else m
+        size = min(max(m, 2 * row.size), _MAX_TERMS) if held == key else m
         row = np.exp(1j * t * np.log(np.arange(1, size + 1, dtype=np.float64)))
         prefix = _compensated_cumsum(row)
         row.flags.writeable = prefix.flags.writeable = False
@@ -125,13 +130,22 @@ def _phase_row(t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return row[:m], prefix[:m]
 
 
+def _term_count(length: float, what: str, cap: Optional[int] = None) -> int:
+    """floor(length), or ResourceLimitError past cap (default _MAX_TERMS) terms."""
+    cap = _MAX_TERMS if cap is None else cap
+    m = int(math.floor(length))
+    if m > cap:
+        raise ResourceLimitError(f"{what} asks for {m} terms, beyond {cap}")
+    return m
+
+
 def _cutoff(u: float, t: float) -> int:
-    """floor(u) as an int; DomainError for a NaN or infinite u or t."""
+    """floor(u); DomainError for a non-finite u or t, ResourceLimitError past the cap."""
     if not math.isfinite(u):
         raise DomainError(f"u must be finite, got {u}")
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t}")
-    return int(math.floor(u))
+    return _term_count(u, "u")
 
 
 class DivisorTable:
@@ -144,11 +158,7 @@ class DivisorTable:
     def __init__(self, max_n: int):
         if max_n < 1:
             raise DomainError(f"table size must be >= 1, got {max_n}")
-        if max_n > _MAX_TABLE:
-            raise ResourceLimitError(
-                f"divisor table of {max_n} entries exceeds the {_MAX_TABLE} cap"
-            )
-        self.max_n = int(max_n)
+        self.max_n = _term_count(max_n, "divisor table")
         d = np.zeros(self.max_n + 1, dtype=np.int32)
         for m in range(1, math.isqrt(self.max_n) + 1):
             d[m * m :: m] += 2  # n = m k with m <= k: the divisors m and k

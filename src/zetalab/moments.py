@@ -48,6 +48,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .dirichlet import _term_count
 from .errors import (
     DegenerateFitError,
     DomainError,
@@ -56,7 +57,7 @@ from .errors import (
 )
 from .quadrature import QuadratureSettings, integrate
 from .zeta import DEFAULT_SETTINGS, EvalSettings, _choose_terms, zeta_grid_multi
-from .zeta import _MAX_WEIGHT_TERMS, _dirichlet_sum, _term_count
+from .zeta import _MAX_WEIGHT_TERMS, _dirichlet_sum
 
 _MAX_T_MOMENT = 1.0e4
 _MAX_T_SPLIT = 2000.0
@@ -286,14 +287,14 @@ def split_i1_i2(
 
 def watt_ratio(
     big_t: float,
-    m_length: int,
     coefficients: Sequence[complex],
     quadrature: QuadratureSettings = QuadratureSettings(),
     eval_settings: EvalSettings = DEFAULT_SETTINGS,
 ) -> tuple[MomentResult, float, float]:
     """Weighted fourth moment against its mean-value comparator.
 
-    lhs = integral_0^T |sum_{m <= M} a_m m^{it}|^2 |zeta(1/2+it)|^4 dt,
+    lhs = integral_0^T |sum_{m <= M} a_m m^{it}|^2 |zeta(1/2+it)|^4 dt
+    with M = len(coefficients),
     rhs = T^{1.01} M (1 + M^2 T^{-1/2}) max|a_m|^2, ratio = lhs/rhs
     (0 when both vanish; lhs is then an exact zero with no panels).  The
     0.01 stands in for an arbitrarily small epsilon; the suppressed
@@ -302,11 +303,10 @@ def watt_ratio(
     _check_height(big_t, _MAX_T_SPLIT)
     if big_t < 0:
         raise DomainError(f"T must be >= 0, got {big_t}")
+    a = np.asarray(list(coefficients), dtype=np.complex128)
+    m_length = a.size
     if m_length > _MAX_WEIGHT_TERMS:
         raise ResourceLimitError(f"{m_length} weight terms, beyond {_MAX_WEIGHT_TERMS}")
-    a = np.asarray(list(coefficients), dtype=np.complex128)
-    if a.size != m_length:
-        raise DomainError(f"expected {m_length} coefficients, got {a.size}")
     if m_length < 1:
         raise DomainError("need at least one coefficient")
     if not np.all(np.isfinite(a)):

@@ -127,12 +127,7 @@ def afe_row(
     return zeta_row(sigma, t, cutoff, value, residual, AFE_BOUND), residual
 
 
-def afe_scan_rows(
-    settings: EvalSettings,
-    t_blocks: Sequence[float] = (100.0, 1000.0),
-    sigmas: Sequence[float] = (0.5, 0.75, 1.0),
-    points: int = 7,
-) -> tuple[list[list[str]], float]:
+def afe_scan_rows(settings: EvalSettings) -> tuple[list[list[str]], float]:
     """Truncated-series residuals over t in [T, 2T] with cutoff 2T.
 
     The residual contract is O(1) with an unspecified constant; rows
@@ -141,9 +136,9 @@ def afe_scan_rows(
     """
     scan = [
         afe_row(sigma, float(t), 2 * big_t, settings)
-        for big_t in t_blocks
-        for sigma in sigmas
-        for t in np.linspace(big_t, 2 * big_t, points)
+        for big_t in (100.0, 1000.0)
+        for sigma in (0.5, 0.75, 1.0)
+        for t in np.linspace(big_t, 2 * big_t, 7)
     ]
     return [row for row, _ in scan], max((residual for _, residual in scan), default=0.0)
 
@@ -181,38 +176,31 @@ def afe2_scan_rows(settings: EvalSettings) -> tuple[list[list[str]], float]:
     return [row for row, _ in scan], max((ratio for _, ratio in scan), default=0.0)
 
 
-def smooth_residual(
-    s: complex, smoothing: float, settings: EvalSettings, value=None
-) -> float:
+def smooth_residual(s: complex, smoothing: float, settings: EvalSettings, value: complex) -> float:
     """|value - zeta(s) - Gamma(1-s) Y^{1-s}|, the leftover after the two
     residues of the Mellin representation; value is the smoothed series
-    at Y = smoothing, by default at its default truncation."""
+    at Y = smoothing.  DomainError for sigma > 3/2, where a third residue
+    enters (see smoothed_sum)."""
     s = complex(s)
-    if value is None:
-        value = smoothed_sum(s, smoothing, None)
+    if s.real > 1.5:
+        raise DomainError(f"the residue identity needs sigma <= 3/2, got {s.real}")
     residue = cmath.exp(_log_gamma(1 - s) + (1 - s) * math.log(smoothing))
     return abs(value - zeta(s, settings) - residue)
 
 
-def smooth_row(
-    s: complex, smoothing: float, settings: EvalSettings, truncation_multiplier=None
-) -> tuple[list[str], float]:
+def smooth_row(s: complex, smoothing: float, settings: EvalSettings) -> tuple[list[str], float]:
     """The smoothed series at Y = smoothing and its residual; the bound
     column is SMOOTH_BOUND * Y^{1/2 - sigma}.  Returns (row, residual)."""
     s = complex(s)
-    value = smoothed_sum(s, smoothing, truncation_multiplier)
+    value = smoothed_sum(s, smoothing)
     residual = smooth_residual(s, smoothing, settings, value)
     bound = SMOOTH_BOUND * smoothing ** (0.5 - s.real)
     return zeta_row(s.real, s.imag, smoothing, value, residual, bound), residual
 
 
-def smooth_scan_rows(
-    settings: EvalSettings,
-    s: complex = 0.75 + 20j,
-    smoothings: Sequence[float] = (1e2, 1e3, 1e4),
-) -> tuple[list[list[str]], list[float]]:
-    """Residue-identity residuals at increasing smoothing scales."""
-    scan = [smooth_row(s, y, settings) for y in smoothings]
+def smooth_scan_rows(settings: EvalSettings) -> tuple[list[list[str]], list[float]]:
+    """Residue-identity residuals at s = 3/4 + 20i for Y in {1e2, 1e3, 1e4}."""
+    scan = [smooth_row(0.75 + 20j, y, settings) for y in (1e2, 1e3, 1e4)]
     return [row for row, _ in scan], [residual for _, residual in scan]
 
 
@@ -268,7 +256,7 @@ def regression_data(config: Config) -> dict:
     moment = integrate_moment(MomentSpec(0.75, 1, 0.0, 100.0, qs), es)
     probe = sixth_moment_probe(256.0, qs, es)
     watt_coeffs = [m ** (-0.75) for m in range(1, 9)]
-    lhs, rhs, ratio = watt_ratio(200.0, 8, watt_coeffs, qs, es)
+    lhs, rhs, ratio = watt_ratio(200.0, watt_coeffs, qs, es)
 
     return {
         "thresholds": {

@@ -19,7 +19,10 @@ for, the smallest N >= 2 whose bound meets target_abs_error (default
 1e-13), the one accuracy knob.  At sigma = 1/2 that is N = 92 at
 t = 184, 515 at t = 1e3 and 2529 at t = 4765.  Against mpmath, q = 6,
 12 and 20 all land at the phase-rounding level at 1/2 + 4750i; q sets
-only the cost (N = 7704, 2521 and 1566 there).
+only the cost (N = 7704, 2521 and 1566 there).  N and every exactly
+summed series here stay within the dirichlet module's _MAX_TERMS; N
+peaks at 1,355,208 (sigma = -1, |t| = 10^6).  The smoothed series stops
+where its weight e^{-n/Y} reaches working precision.
 
 chi(s) = 2^s pi^(s-1) Gamma(1-s) sin(pi s / 2) is the ratio
 zeta(s)/zeta(1-s) from the functional equation.  It is computed from a
@@ -61,19 +64,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dirichlet import DivisorTable, _fsum_complex
-from .errors import DomainError, PoleError, PrecisionError, ResourceLimitError
+from .dirichlet import _MAX_TERMS, DivisorTable, _fsum_complex, _term_count
+from .errors import DomainError, PoleError, PrecisionError
 
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
 _HALF_LN_2PI = 0.5 * math.log(2 * math.pi)
 
 _MAX_ABS_T = 1.0e6
-_MAX_TERMS = 1 << 24
 _BERNOULLI_ORDER = 12  # q, the Bernoulli correction terms of the EM formula
 # Dirichlet-polynomial weights: _dirichlet_sum holds about 2.4 KB per
 # term (tracemalloc peaks of 300-306 MiB at 2^17 terms for moment split
@@ -154,14 +156,6 @@ def _choose_terms(s_extreme: complex, settings: EvalSettings) -> int:
     while a - p * math.log(n) > log_target:
         n += 1
     return n
-
-
-def _term_count(length: float, what: str, cap: int = _MAX_TERMS) -> int:
-    """floor(length), or ResourceLimitError past cap terms."""
-    m = int(math.floor(length))
-    if m > cap:
-        raise ResourceLimitError(f"{what} asks for {m} terms, beyond {cap}")
-    return m
 
 
 def _check_domain(s: complex):
@@ -366,10 +360,13 @@ def chi(s: complex) -> complex:
     factor zeta(s)/zeta(1-s).
 
     |chi(1/2+it)| = 1 and chi(s) chi(1-s) = 1 hold to working precision.
-    Raises PoleError at s = 1, 2, 3, ... (Gamma poles of the formula);
-    returns 0 at nonpositive even integers where the sine factor vanishes.
+    Raises DomainError for a NaN or infinite s and PoleError at
+    s = 1, 2, 3, ... (Gamma poles of the formula); returns 0 at
+    nonpositive even integers where the sine factor vanishes.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
     if s.imag == 0 and s.real == round(s.real):
         m = round(s.real)
         if m >= 1:
@@ -403,11 +400,8 @@ def functional_equation_residual(
 def partial_zeta_sum(s: complex, cutoff: float) -> complex:
     """sum_{n <= cutoff} n^{-s}, exactly-rounded reduction."""
     m = _term_count(cutoff, "cutoff")
-    if m < 1:
-        return 0j
     logk = np.log(np.arange(1, m + 1, dtype=np.float64))
-    terms = np.exp(-complex(s) * logk)
-    return _fsum_complex(terms)
+    return _fsum_complex(np.exp(-complex(s) * logk))
 
 
 def afe_simple(
@@ -435,31 +429,22 @@ def default_smoothing_truncation(t: float) -> float:
     return max(40.0, math.log(max(abs(t), 10.0)) ** 2)
 
 
-def smoothed_sum(
-    s: complex, smoothing: float, truncation_multiplier: Optional[float] = None
-) -> complex:
+def smoothed_sum(s: complex, smoothing: float) -> complex:
     """Exponentially smoothed series sum_{n <= M} e^{-n/Y} n^{-s} with
-    Y = smoothing and M = Y * truncation_multiplier.
+    Y = smoothing and M = Y * default_smoothing_truncation(t).
 
-    Shifting the underlying Mellin contour to Re w = 1/2 - sigma shows
-    this equals zeta(s) + Gamma(1-s) Y^{1-s} + O(Y^{1/2-sigma}), which
-    is what the residue-identity tests probe.
+    For sigma <= 3/2, shifting the underlying Mellin contour to
+    Re w = 1/2 - sigma shows this equals zeta(s) + Gamma(1-s) Y^{1-s}
+    + O(Y^{1/2-sigma}), which is what the residue-identity tests probe.
+    Beyond 3/2 the contour passes the pole of Gamma(w) at w = -1, and
+    the leftover carries -zeta(s-1)/Y as well.
     """
     s = complex(s)
     if not 1 <= smoothing < math.inf:
         raise DomainError(f"smoothing scale Y must be finite and >= 1, got {smoothing}")
-    floor_mult = math.log(max(abs(s.imag), 10.0)) ** 2
-    if truncation_multiplier is None:
-        truncation_multiplier = default_smoothing_truncation(s.imag)
-    elif not floor_mult <= truncation_multiplier < math.inf:
-        raise DomainError(
-            f"truncation multiplier {truncation_multiplier:g} must be finite and "
-            f"at least log^2(max(|t|, 10)) = {floor_mult:g}"
-        )
-    m = _term_count(smoothing * truncation_multiplier, "Y times the truncation multiplier")
+    m = _term_count(smoothing * default_smoothing_truncation(s.imag), "the smoothed series")
     k = np.arange(1, m + 1, dtype=np.float64)
-    terms = np.exp(-k / smoothing - complex(s) * np.log(k))
-    return _fsum_complex(terms)
+    return _fsum_complex(np.exp(-k / smoothing - complex(s) * np.log(k)))
 
 
 def afe_zeta_squared(
@@ -494,16 +479,9 @@ def afe_zeta_squared(
     y = t_over_2pi**2 / x
     nx, ny = int(math.floor(x)), int(math.floor(y))
     table.require(max(nx, 1))
-    d = table.d
-    logk = np.log(np.arange(1, nx + 1, dtype=np.float64))
-    first_terms = d[1 : nx + 1] * np.exp(-s * logk)
-    first = _fsum_complex(first_terms)
-    if ny >= 1:
-        logk2 = logk[:ny]
-        second_terms = d[1 : ny + 1] * np.exp((s - 1) * logk2)
-        second = _fsum_complex(second_terms)
-    else:
-        second = 0j
+    logk = np.log(np.arange(1, nx + 1, dtype=np.float64))  # ny <= nx, as y <= x
+    first = _fsum_complex(table.d[1 : nx + 1] * np.exp(-s * logk))
+    second = _fsum_complex(table.d[1 : ny + 1] * np.exp((s - 1) * logk[:ny]))
     value = first + chi(s) ** 2 * second
     residual = abs(value - zeta(s, settings) ** 2)
     bound = x ** (0.5 - sigma) * math.log(t)

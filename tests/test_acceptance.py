@@ -162,7 +162,7 @@ def test_criterion_6_hyperbola_equivalence():
 @pytest.mark.criterion(7, "smoothed-sum residue identity at s = 3/4 + 20i: residual decreases over Y in {1e2, 1e3, 1e4} and stays within 10 * Y^(1/2 - sigma)")
 def test_criterion_7_smoothed_residue_identity():
     s = 0.75 + 20j
-    rows, residuals = smooth_scan_rows(DEFAULT_SETTINGS, s=s)
+    rows, residuals = smooth_scan_rows(DEFAULT_SETTINGS)
     assert residuals[0] > residuals[1] > residuals[2]
     for y, residual in zip((1e2, 1e3, 1e4), residuals):
         assert residual <= 10.0 * y ** (0.5 - s.real)

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import zetalab
-from zetalab import cli, moments, pairs, quadrature, report
+from zetalab import cli, dirichlet, moments, pairs, quadrature, report
 from zetalab.cli import main
 from zetalab.config import ENV_VAR
+from zetalab.dirichlet import _MAX_TERMS
 from zetalab.report import MOMENT_CSV_HEADER, PAIR_CSV_HEADER, ZETA_CSV_HEADER
 from zetalab.zeta import DEFAULT_SETTINGS, smoothed_sum
 
@@ -220,6 +221,17 @@ class TestZeta:
     def test_afe2_table_guard(self, capsys):
         assert main(["zeta", "afe2", "--sigma", "0.75", "--t", "50", "--x", "1e9"]) == 4
 
+    def test_afe2_table_at_the_term_cap(self, capsys, monkeypatch):
+        # a small cap keeps both sides of the boundary cheap
+        monkeypatch.setattr(dirichlet, "_MAX_TERMS", 1000)
+        argv = ["zeta", "afe2", "--sigma", "0.75", "--t", "50", "--x"]
+        assert main(argv + ["1000"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["1001"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("zetalab: resource limit: ")
+
     def test_afe2_bad_x(self, capsys):
         assert main(["zeta", "afe2", "--sigma", "0.75", "--t", "50", "--x", "wide"]) == 1
 
@@ -228,12 +240,22 @@ class TestZeta:
         row = out_line(capsys, 1).split(",")
         assert float(row[5]) <= float(row[6])
 
-    def test_smooth_multiplier_floor(self, capsys):
-        code = main(
-            ["zeta", "smooth", "--sigma", "0.75", "--t", "10000", "--Y", "100",
-             "--multiplier", "5"]
+    def test_smooth_keeps_its_row_at_sigma_three_halves(self, capsys):
+        assert main(["zeta", "smooth", "--sigma", "1.5", "--t", "5", "--Y", "100"]) == 0
+        assert out_line(capsys, 1) == (
+            "1.5,5,100,0.802643132200661,0.132193653971858,"
+            "0.00735694591596444,0.1,0.0735694591596444"
         )
-        assert code == 3
+
+    @pytest.mark.parametrize("sigma, t", [("2", "0"), ("3", "0"), ("2.5", "5")])
+    def test_smooth_beyond_three_halves_is_a_domain_error(self, capsys, sigma, t):
+        # past sigma = 3/2 the residue of Gamma(w) at w = -1 joins the
+        # leftover, so the residual would no longer measure the identity
+        assert main(["zeta", "smooth", "--sigma", sigma, "--t", t, "--Y", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sigma <= 3/2" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_fe_check_coarse(self, capsys):
         assert main(["zeta", "fe-check"]) == 0
@@ -277,11 +299,10 @@ class TestHarnessParity:
         assert self._row(capsys, argv) == ",".join(rows[1])
 
     def test_smooth_residual_belongs_to_printed_value(self, capsys):
-        argv = ["zeta", "smooth", "--sigma", "0.75", "--t", "20", "--Y", "100",
-                "--multiplier", "20"]
+        argv = ["zeta", "smooth", "--sigma", "0.75", "--t", "20", "--Y", "100"]
         cells = self._row(capsys, argv).split(",")
         s = complex(0.75, 20)
-        value = smoothed_sum(s, 100.0, 20.0)
+        value = smoothed_sum(s, 100.0)
         assert cells[3:5] == [report.fmt_float(value.real), report.fmt_float(value.imag)]
         residual = report.smooth_residual(s, 100.0, DEFAULT_SETTINGS, value)
         assert cells[5] == report.fmt_float(residual)
@@ -346,7 +367,6 @@ NON_FINITE_ARGVS = [
     ["zeta", "afe2", "--sigma", "0.75", "--t", "50", "--x", "nan"],
     ["zeta", "smooth", "--sigma", "0.75", "--t", "20", "--Y", "nan"],
     ["zeta", "smooth", "--sigma", "0.75", "--t", "20", "--Y", "inf"],
-    ["zeta", "smooth", "--sigma", "0.75", "--t", "20", "--Y", "100", "--multiplier", "nan"],
     ["moment", "split", "--T", "40", "--Y", "nan"],
     ["moment", "watt", "--T", "30", "--coeffs", "nan"],
     ["moment", "watt", "--T", "30", "--coeffs", "power:3:nan"],
@@ -379,12 +399,13 @@ def test_non_finite_s_names_the_cause(argv, capsys):
     assert "cannot reach target" not in captured.err
 
 
-# one past the 2^24-term cap on a sum or the 2^17-term cap on a weight;
-# each is refused before its terms are allocated
+# one past the cap on an exactly summed series (the smoothed series at
+# t = 10 has 40 Y terms), or far past and one past the 2^17-term cap on a
+# weight; each is refused before its terms are allocated
 _SPLIT_Y = (2**24 + 1.5) / math.log(96.0) ** 2
 TERM_CAP_ARGVS = [
-    ["zeta", "afe", "--sigma", "0.75", "--t", "10", "--cutoff", "16777217"],
-    ["zeta", "smooth", "--sigma", "0.75", "--t", "10", "--Y", "1048576.0625", "--multiplier", "16"],
+    ["zeta", "afe", "--sigma", "0.75", "--t", "10", "--cutoff", str(_MAX_TERMS + 1)],
+    ["zeta", "smooth", "--sigma", "0.75", "--t", "10", "--Y", repr((_MAX_TERMS + 1.5) / 40)],
     ["moment", "split", "--T", "96", "--Y", repr(_SPLIT_Y)],
     ["moment", "watt", "--T", "30", "--coeffs", "power:16777217:-0.5"],
     ["moment", "split", "--T", "96", "--Y", repr((2**17 + 1.5) / math.log(96.0) ** 2)],
@@ -425,6 +446,30 @@ class TestConfigPlumbing:
         assert main(["--config", "/nonexistent.cfg", "zeta", "eval", "--sigma", "2"]) == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--output-dir", "out", "moment", "report"],
+            ["zeta", "smooth", "--sigma", "0.75", "--t", "20", "--Y", "100", "--multiplier", "50"],
+        ],
+        ids=" ".join,
+    )
+    def test_removed_flag_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "zetalab: error: " in captured.err
+
+    def test_report_writes_to_the_working_directory_by_default(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["moment", "report"]) == 0
+        out = capsys.readouterr().out
+        for name in ("regression_report.txt", "regression_report.json"):
+            assert f"written: {os.path.join('.', name)}\n" in out
+            assert (tmp_path / name).is_file()
+
+    @pytest.mark.parametrize(
         "key", ["afe_residual_limit", "afe2_ratio_limit", "smooth_residual_limit"]
     )
     def test_removed_limit_key_is_refused(self, tmp_path, capsys, key):
@@ -436,7 +481,7 @@ class TestConfigPlumbing:
         assert f"unknown config key {key!r} (at position 2)" in captured.err
 
     @pytest.mark.parametrize(
-        "key", ["euler_maclaurin_terms", "bernoulli_order", "divisor_table_size"]
+        "key", ["euler_maclaurin_terms", "bernoulli_order", "divisor_table_size", "output_dir"]
     )
     def test_removed_zeta_key_is_refused(self, tmp_path, capsys, key):
         path = tmp_path / "lab.cfg"

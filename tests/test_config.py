@@ -73,25 +73,21 @@ class TestRoundTrip:
             points_per_panel=12,
             width_scale=0.375,
             threads=3,
-            output_dir="out",
         )
         assert parse_config(dump_config(cfg)) == cfg
 
     @pytest.mark.parametrize("name", [f.name for f in fields(Config)])
     def test_every_field_round_trips(self, name):
         default = getattr(Config(), name)
-        if isinstance(default, str):
-            changed = default + "_x"
-        else:
-            changed = default + 1 if isinstance(default, int) else default / 2
+        changed = default + 1 if isinstance(default, int) else default / 2
         cfg = replace(Config(), **{name: changed})
         parsed = parse_config(dump_config(cfg))
         assert parsed == cfg
         assert type(getattr(parsed, name)) is type(changed)
 
-    def test_five_fields(self):
+    def test_four_fields(self):
         assert [f.name for f in fields(Config)] == [
-            "target_abs_error", "points_per_panel", "width_scale", "threads", "output_dir"
+            "target_abs_error", "points_per_panel", "width_scale", "threads"
         ]
 
 

@@ -71,7 +71,7 @@ class TestDivisorSieve:
         with pytest.raises(DomainError):
             DivisorTable(0)
         with pytest.raises(ResourceLimitError):
-            DivisorTable(10**10)
+            DivisorTable(dirichlet._MAX_TERMS + 1)
 
 
 class TestDivisorPhaseSums:
@@ -124,6 +124,43 @@ class TestDivisorPhaseSums:
         for u in (0, 1, 10, 1000):
             assert type(divisor_phase_sum_direct(u, 1.3, table)) is complex
             assert type(divisor_phase_sum_hyperbola(u, 1.3)) is complex
+
+
+class TestTermCap:
+    """Every route to an exact divisor series refuses more than _MAX_TERMS
+    terms before it allocates; a small cap keeps both sides cheap."""
+
+    CAP = 1000
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(dirichlet, "_MAX_TERMS", self.CAP)
+
+    def test_table(self):
+        assert DivisorTable(self.CAP).max_n == self.CAP
+        with pytest.raises(ResourceLimitError, match="divisor table"):
+            DivisorTable(self.CAP + 1)
+
+    def test_routes_refuse_before_the_phase_row(self, monkeypatch):
+        table = DivisorTable(self.CAP)
+        assert divisor_phase_sum_direct(self.CAP, 1.3, table) == pytest.approx(
+            divisor_phase_sum_hyperbola(self.CAP, 1.3), rel=1e-12
+        )
+
+        def no_row(*args):
+            raise AssertionError("a phase row was allocated")
+
+        monkeypatch.setattr(dirichlet, "_phase_row", no_row)
+        with pytest.raises(ResourceLimitError):
+            divisor_phase_sum_direct(self.CAP + 1, 1.3, table)
+        with pytest.raises(ResourceLimitError):
+            divisor_phase_sum_hyperbola(self.CAP + 1, 1.3)
+
+    def test_cached_row_grows_no_further_than_the_cap(self):
+        _evict_phase_row()
+        _phase_row(4.2, 600)
+        _phase_row(4.2, 700)  # would double to 1200
+        assert dirichlet._phase_cache[1].size == self.CAP
 
 
 class TestCompensatedCumsum:

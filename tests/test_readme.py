@@ -1,5 +1,5 @@
-"""The README's command-line examples print what the README shows, and
-its objective grammar is the parser's."""
+"""The README's command-line examples print what the README shows, its
+library quick start runs, and its objective grammar is the parser's."""
 
 import shlex
 from pathlib import Path
@@ -50,3 +50,12 @@ def test_grammar_block_is_the_parser_grammar():
     block = section.split("```\n", 2)[1]
     grammar = [line for line in OBJECTIVE_GRAMMAR.splitlines() if ":=" in line]
     assert block.splitlines() == grammar
+
+
+def test_library_quick_start_runs(capsys):
+    """The "Library quick start" block runs as written, so a changed
+    signature cannot leave it stale."""
+    section = README.read_text().split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[:2] == ["5/6", "6"]

@@ -31,6 +31,7 @@ from zetalab import (
     zeta,
     zeta_grid_multi,
 )
+from zetalab.dirichlet import _MAX_TERMS
 from zetalab.quadrature import panel_edges
 from zetalab.zeta import (
     DEFAULT_SETTINGS,
@@ -151,9 +152,15 @@ class TestAutoRule:
         assert n <= max(50, math.ceil(2 * t))  # the former start of the search
 
     def test_unreachable_target_raises(self):
-        # with q = 12 the target 1e-300 needs log N of about 30, past log 2^24
+        # with q = 12 the target 1e-300 needs log N of about 30, past the
+        # log of the term cap
+        assert math.log(_MAX_TERMS) < 30
         with pytest.raises(PrecisionError, match="cannot reach target"):
             zeta(0.5 + 100j, EvalSettings(target_abs_error=1e-300))
+
+    def test_term_cap_cuts_no_value(self):
+        # the longest length over the supported domain, at its corner
+        assert _choose_terms(complex(-1.0, 1e6), DEFAULT_SETTINGS) <= _MAX_TERMS
 
     @pytest.mark.parametrize(
         "s",
@@ -432,6 +439,17 @@ class TestChi:
                 chi_grid(np.array([0.5 + 1j, s]))
         assert list(chi_grid(np.array([-2.0, 0.0]))) == [chi(-2.0), chi(0.0)] == [0, 0]
 
+    @pytest.mark.parametrize(
+        "s", [complex(math.inf, 0), complex(math.nan, 0), complex(0.5, math.inf),
+              complex(math.nan, 1)],
+        ids=repr,
+    )
+    def test_non_finite_s_is_a_domain_error(self, s):
+        with pytest.raises(DomainError, match="s must be finite"):
+            chi(s)
+        with pytest.raises(DomainError, match="s must be finite"):
+            chi_grid(np.array([0.5 + 1j, s]))
+
 
 class TestFunctionalEquation:
     @pytest.mark.parametrize(
@@ -474,11 +492,11 @@ class TestAfeSimple:
         assert partial_zeta_sum(2.0, 0.5) == 0
 
     def test_cutoff_beyond_term_cap(self):
-        # refused before anything is allocated: the cap is 2^24 terms
+        # refused before anything is allocated
         with pytest.raises(ResourceLimitError):
-            afe_simple(0.75 + 10j, 2.0**24 + 1)
+            afe_simple(0.75 + 10j, _MAX_TERMS + 1)
         with pytest.raises(ResourceLimitError):
-            partial_zeta_sum(2.0, 2.0**24 + 1)
+            partial_zeta_sum(2.0, _MAX_TERMS + 1)
 
 
 class TestSmoothedSum:
@@ -486,7 +504,7 @@ class TestSmoothedSum:
         assert abs(smoothed_sum(2.0, 1.0) - SMOOTHED_Y1_S2) <= 1e-12
 
     def test_brute_force_y1e4(self):
-        assert abs(smoothed_sum(2.0, 1e4, 25.0) - SMOOTHED_Y1E4_S2) <= 1e-12
+        assert abs(smoothed_sum(2.0, 1e4) - SMOOTHED_Y1E4_S2) <= 1e-12
 
     def test_residue_identity_decays(self):
         s = 0.75 + 20j
@@ -507,14 +525,11 @@ class TestSmoothedSum:
         with pytest.raises(DomainError):
             smoothed_sum(2.0, 0.5)
 
-    def test_low_multiplier_rejected(self):
-        with pytest.raises(DomainError):
-            smoothed_sum(0.5 + 1e4j, 10.0, 25.0)  # needs log^2(1e4) ~ 84.8
-
     def test_length_beyond_term_cap(self):
-        y, multiplier = 2.0**20 + 1 / 16, 16.0  # Y * multiplier = 2^24 + 1 exactly
+        y = (_MAX_TERMS + 1.5) / 40  # the truncation at t = 10 is 40 Y
+        assert math.floor(y * default_smoothing_truncation(10.0)) == _MAX_TERMS + 1
         with pytest.raises(ResourceLimitError):
-            smoothed_sum(0.75 + 10j, y, multiplier)
+            smoothed_sum(0.75 + 10j, y)
 
 
 class TestAfeZetaSquared:
