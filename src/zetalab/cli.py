@@ -45,7 +45,7 @@ from .thresholds import (
     theorem1_sigma,
     theorem2_sigma,
 )
-from .zeta import _MAX_WEIGHT_TERMS, zeta
+from .zeta import _MAX_WEIGHT_TERMS, _check_two_sum_domain, zeta
 
 _ff = report.fmt_float
 _fr = report.fmt_rational
@@ -225,7 +225,10 @@ def cmd_zeta_afe2(args, config: Config) -> int:
             raise ParseError(f"--x must be a number or 'balanced', got {args.x!r}", 0) from None
     if not math.isfinite(x):
         raise DomainError(f"cutoff x must be finite, got x = {x} at t = {args.t}")
-    row, _ = report.afe2_row(args.sigma, args.t, x, DivisorTable(max(int(x), 1)), es)
+    # the table's size cap, then the domain, then the sieve of x entries
+    size = max(_term_count(x, "divisor table"), 1)
+    _check_two_sum_domain(complex(args.sigma, args.t), x)
+    row, _ = report.afe2_row(args.sigma, args.t, x, DivisorTable(size), es)
     _emit(report.emit_csv(report.ZETA_CSV_HEADER, [row]))
     return 0
 

@@ -38,7 +38,8 @@ size 2^900 or more go to fsum unchanged, so its overflow and NaN
 behaviour stay as they are; so do exact zeros, whose sign fsum decides.
 
 The divisor sums at one t share one phase row n^{it} and its prefix
-sums: a one-entry cache keyed on the bits of t (_phase_row).
+sums: a one-entry cache keyed on the bits of t (_phase_row), which keeps
+rows of up to _CACHE_TERMS = 2^16 terms (2 MiB) and no longer ones.
 
 _MAX_TERMS = 2^22 bounds every exactly summed series of the package,
 here and in the zeta module, before anything of that length is
@@ -56,6 +57,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 
 _MAX_TERMS = 1 << 22  # the one cap on an exactly summed series (see above)
+_CACHE_TERMS = 1 << 16  # the longest phase row _phase_row keeps, 32 B a term
 _BLOCK = 8192
 _EXACT_MIN = 512  # terms; shorter sums go to fsum, which is as fast there
 _EXACT_MAX = 2**26  # terms; the extraction below is exact while k (k + 1) < 2^53
@@ -113,20 +115,23 @@ def _phase_row(t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     The entry is keyed on the bits of t, so no two floats share it, not
     even 0.0 and -0.0, and it is replaced as one tuple.  A longer request
-    for the same t grows it at least twofold, short of _MAX_TERMS, so
-    ascending u costs amortized O(u).  Cold and warm values are
-    identical: log and exp act elementwise, and _compensated_cumsum's
-    prefix of a longer array is the prefix of the shorter one.
+    for the same t grows it at least twofold, short of _CACHE_TERMS, so
+    ascending u costs amortized O(u) up to there.  A longer row is built
+    for its call and not kept, so a call at u near _MAX_TERMS does not
+    leave its 128 MiB held.  Cold and warm values are identical: log and
+    exp act elementwise, and _compensated_cumsum's prefix of a longer
+    array is the prefix of the shorter one.
     """
     global _phase_cache
     key = float(t).hex()
     held, row, prefix = _phase_cache
     if held != key or row.size < m:
-        size = min(max(m, 2 * row.size), _MAX_TERMS) if held == key else m
+        size = max(m, min(2 * row.size, _CACHE_TERMS, _MAX_TERMS)) if held == key else m
         row = np.exp(1j * t * np.log(np.arange(1, size + 1, dtype=np.float64)))
         prefix = _compensated_cumsum(row)
         row.flags.writeable = prefix.flags.writeable = False
-        _phase_cache = (key, row, prefix)
+        if size <= _CACHE_TERMS:
+            _phase_cache = (key, row, prefix)
     return row[:m], prefix[:m]
 
 

@@ -258,7 +258,10 @@ def split_i1_i2(
     with Y = smoothing.  The inner v-integral is read off a cumulative
     fine-grid profile of |zeta(1/2+iv)|, so the outer quadrature costs
     one subtraction per node.  I2's value and estimate both carry the
-    Y^{1-2 sigma} factor.
+    Y^{1-2 sigma} factor.  I2 runs on quadrature.halved(), half-width
+    panels: its weight has a corner at every zero of zeta(1/2+iv) and is
+    piecewise linear in t, so the bandwidth rule of the quadrature
+    module, which assumes an analytic integrand, does not cover it.
     """
     _check_height(big_t, _MAX_T_SPLIT)
     if big_t <= 1:
@@ -278,7 +281,9 @@ def split_i1_i2(
 
     crit = [(0.5, 4)]
     i1 = _moment(crit, 0.0, big_t, quadrature, eval_settings, coeffs)
-    i2 = _moment(crit, 0.0, big_t, quadrature, eval_settings, weight=short_average)
+    i2 = _moment(
+        crit, 0.0, big_t, quadrature.halved(), eval_settings, weight=short_average
+    )
     factor = smoothing ** (1 - 2 * sigma)
     return i1, MomentResult(
         factor * i2.value, factor * i2.error_estimate, i2.panel_count

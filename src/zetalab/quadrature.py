@@ -2,7 +2,7 @@
 
 The t-axis is cut into panels of width
 
-    width(t) = scale * min(1/4 + t/2, 2 / log(2 + t)),
+    width(t) = scale * min(1/4 + t/2, 4 / log(2 + t)),
 
 and each panel gets a Gauss-Kronrod pair G_n / K_{2n+1} (n =
 points_per_panel; the default n = 10 is QUADPACK's qk21).  The width is
@@ -11,14 +11,30 @@ moment integrands |zeta(1/2+it)|^4 |zeta(sigma+it)|^{2j} are products
 of Dirichlet polynomials of length about sqrt(t / 2 pi), so their
 frequencies stay below about (2 + j) log(t / 2 pi) (the Nyquist
 argument behind Odlyzko's band-limited interpolation of Z(t)).  Above
-_T_STAR = 2.26..., where the two terms meet, a panel spans at most
-about 6.4 rad of the j = 2 integrand (at t = 1e4 it is 0.217 wide), a
-few nodes per radian for a rule exact to degree 3n+1 = 31.  Below
-_T_STAR the width is 1/4 at t = 0 and grows geometrically,
+_T_STAR = 3.975..., where the two terms meet, a panel spans at most
+about 12.8 rad of the j = 2 integrand (at t = 1e4 it is 0.434 wide):
+two periods of its fastest frequency under 21 Kronrod nodes, for a
+rule exact to degree 3n+1 = 31.  It is about the widest panel the
+estimate tolerates: at 1.5 times this width the moment estimates rose
+more than 1.25-fold on 62 of 138 windows from t = 0 to 1e4, up to
+772-fold (sigma = 0.6, j = 2 on [4000, 4003]).  Even at this width
+the estimate is loose where a short window's integral is small beside
+the integrand around it: sigma = 0.6, j = 2 on [7625, 7626.42] reads
+1.8e-8 relative, against 1.1e-10 at half the width, while the value
+agrees with quarter-width panels to 8.2e-12.
+
+Below _T_STAR the width is 1/4 at t = 0 and grows geometrically,
 t_{k+1} + 1/2 = (1 + scale/2)(t_k + 1/2): only the panels near t = 0
 need to be narrow, because the pole of zeta(sigma+it) at s = 1 lies at
 distance 1 - sigma from t = 0, and the integrand's radius of
 analyticity grows with the distance from it.
+
+The rule assumes a band-limited, analytic integrand.  The I2 weight of
+moments.split_i1_i2 is neither: its short average of |zeta(1/2+iv)|
+has a corner at every zero, and it is read off a piecewise-linear
+profile.  At this width its estimate rose 4.4-fold at T = 96 and
+passed the stall limit at T = 40 and 150, so I2 integrates on halved()
+settings, half-width panels.
 
 The 2n+1 Kronrod nodes contain the n Gauss nodes, so one evaluation of
 the integrand per node gives both sums: the K sum is the value, and
@@ -53,8 +69,8 @@ from .errors import DomainError, ResourceLimitError
 _CHUNK = 256  # panels per work unit; fixed so threading cannot repartition
 _MAX_PANELS = 5_000_000
 _MAX_THREADS = 64  # integrate starts min(threads, chunks) OS threads
-# where the two terms of panel_width meet: 1/4 + t/2 = 2 / log(2 + t)
-_T_STAR = 2.2600081622965313
+# where the two terms of panel_width meet: 1/4 + t/2 = 4 / log(2 + t)
+_T_STAR = 3.9752212295366958
 
 
 @dataclass(frozen=True)
@@ -87,7 +103,7 @@ class QuadratureSettings:
 
 
 def panel_width(t: float, scale: float = 1.0) -> float:
-    return scale * min(0.25 + t / 2, 2 / math.log(2 + t))
+    return scale * min(0.25 + t / 2, 4 / math.log(2 + t))
 
 
 def _panel_integral(t_min: float, t_max: float, scale: float = 1.0) -> float:
@@ -97,10 +113,10 @@ def _panel_integral(t_min: float, t_max: float, scale: float = 1.0) -> float:
     t_{k+1} + 1/2 = (1 + scale/2)(t_k + 1/2), so that stretch is counted
     as its steps, up to the first edge at or past _T_STAR (stopping the
     geometric count at _T_STAR itself undercounts the panel that
-    straddles it, by up to 0.02 at scale 1).  From there the width falls
+    straddles it, by up to 0.04 at scale 1).  From there the width falls
     with t, so every full panel covers at least one unit of the integral
     of dt / panel_width(t), whose antiderivative is
-    (1 / scale)(1/2)(2 + t)(log(2 + t) - 1)."""
+    (1 / scale)(1/4)(2 + t)(log(2 + t) - 1)."""
     grade = math.log1p(scale / 2)
     steps, start = 0, t_min
     if t_min < _T_STAR:
@@ -110,7 +126,7 @@ def _panel_integral(t_min: float, t_max: float, scale: float = 1.0) -> float:
         return math.log((t_max + 0.5) / (t_min + 0.5)) / grade
 
     def antiderivative(t: float) -> float:
-        return 0.5 * (2 + t) * (math.log(2 + t) - 1)
+        return 0.25 * (2 + t) * (math.log(2 + t) - 1)
 
     return steps + (antiderivative(t_max) - antiderivative(start)) / scale
 

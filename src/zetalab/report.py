@@ -176,22 +176,28 @@ def afe2_scan_rows(settings: EvalSettings) -> tuple[list[list[str]], float]:
     return [row for row, _ in scan], max((ratio for _, ratio in scan), default=0.0)
 
 
+def _check_residue_range(s: complex):
+    if s.real > 1.5:
+        raise DomainError(f"the residue identity needs sigma <= 3/2, got {s.real}")
+
+
 def smooth_residual(s: complex, smoothing: float, settings: EvalSettings, value: complex) -> float:
     """|value - zeta(s) - Gamma(1-s) Y^{1-s}|, the leftover after the two
     residues of the Mellin representation; value is the smoothed series
     at Y = smoothing.  DomainError for sigma > 3/2, where a third residue
     enters (see smoothed_sum)."""
     s = complex(s)
-    if s.real > 1.5:
-        raise DomainError(f"the residue identity needs sigma <= 3/2, got {s.real}")
+    _check_residue_range(s)
     residue = cmath.exp(_log_gamma(1 - s) + (1 - s) * math.log(smoothing))
     return abs(value - zeta(s, settings) - residue)
 
 
 def smooth_row(s: complex, smoothing: float, settings: EvalSettings) -> tuple[list[str], float]:
     """The smoothed series at Y = smoothing and its residual; the bound
-    column is SMOOTH_BOUND * Y^{1/2 - sigma}.  Returns (row, residual)."""
+    column is SMOOTH_BOUND * Y^{1/2 - sigma}.  Returns (row, residual).
+    sigma > 3/2 is refused before the series is summed."""
     s = complex(s)
+    _check_residue_range(s)
     value = smoothed_sum(s, smoothing)
     residual = smooth_residual(s, smoothing, settings, value)
     bound = SMOOTH_BOUND * smoothing ** (0.5 - s.real)

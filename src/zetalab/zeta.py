@@ -447,6 +447,20 @@ def smoothed_sum(s: complex, smoothing: float) -> complex:
     return _fsum_complex(np.exp(-k / smoothing - complex(s) * np.log(k)))
 
 
+def _check_two_sum_domain(s: complex, x: float):
+    """DomainError unless 0 < sigma < 1, 10 <= t < inf and
+    t/(2 pi) <= x <= t^2: the domain of afe_zeta_squared, which callers
+    check before they sieve a divisor table of x entries."""
+    sigma, t = s.real, s.imag
+    if not (0 < sigma < 1):
+        raise DomainError(f"sigma must lie in (0, 1), got {sigma}")
+    if not 10 <= t < math.inf:
+        raise DomainError(f"t must be finite and >= 10, got {t}")
+    t_over_2pi = t / (2 * math.pi)
+    if not (t_over_2pi <= x <= t * t):
+        raise DomainError(f"x must lie in [t/(2 pi), t^2] = [{t_over_2pi:g}, {t * t:g}]")
+
+
 def afe_zeta_squared(
     s: complex,
     x: float,
@@ -468,15 +482,9 @@ def afe_zeta_squared(
     constant, since the true O-constant is not explicit.
     """
     s = complex(s)
+    _check_two_sum_domain(s, x)
     sigma, t = s.real, s.imag
-    if not (0 < sigma < 1):
-        raise DomainError(f"sigma must lie in (0, 1), got {sigma}")
-    if not 10 <= t < math.inf:
-        raise DomainError(f"t must be finite and >= 10, got {t}")
-    t_over_2pi = t / (2 * math.pi)
-    if not (t_over_2pi <= x <= t * t):
-        raise DomainError(f"x must lie in [t/(2 pi), t^2] = [{t_over_2pi:g}, {t * t:g}]")
-    y = t_over_2pi**2 / x
+    y = (t / (2 * math.pi)) ** 2 / x
     nx, ny = int(math.floor(x)), int(math.floor(y))
     table.require(max(nx, 1))
     logk = np.log(np.arange(1, nx + 1, dtype=np.float64))  # ny <= nx, as y <= x

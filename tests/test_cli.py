@@ -232,6 +232,15 @@ class TestZeta:
         assert captured.out == ""
         assert captured.err.startswith("zetalab: resource limit: ")
 
+    def test_afe2_range_is_checked_before_the_sieve(self, capsys, monkeypatch):
+        # x = 4e6 lies under the table cap but beyond t^2 = 2500
+        def no_table(*args):
+            raise AssertionError("a divisor table was sieved")
+
+        monkeypatch.setattr(cli, "DivisorTable", no_table)
+        assert main(["zeta", "afe2", "--sigma", "0.75", "--t", "50", "--x", "4000000"]) == 3
+        assert "x must lie in" in capsys.readouterr().err
+
     def test_afe2_bad_x(self, capsys):
         assert main(["zeta", "afe2", "--sigma", "0.75", "--t", "50", "--x", "wide"]) == 1
 
@@ -256,6 +265,15 @@ class TestZeta:
         assert captured.out == ""
         assert "sigma <= 3/2" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_smooth_refuses_before_summing(self, capsys, monkeypatch):
+        # at Y = 1e5 the series would be 4,000,000 terms
+        def no_sum(*args):
+            raise AssertionError("the smoothed series was summed")
+
+        monkeypatch.setattr(report, "smoothed_sum", no_sum)
+        assert main(["zeta", "smooth", "--sigma", "2", "--t", "0", "--Y", "100000"]) == 3
+        assert "sigma <= 3/2" in capsys.readouterr().err
 
     def test_fe_check_coarse(self, capsys):
         assert main(["zeta", "fe-check"]) == 0

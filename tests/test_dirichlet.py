@@ -1,6 +1,7 @@
 """Divisor sums, the hyperbola identity, and the compensated reductions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,6 +369,18 @@ class TestPhaseRowCache:
         for m in range(1, 1001):
             _phase_row(2.5, m)
         assert dirichlet._phase_cache[1].size == 1024
+
+    def test_a_long_row_is_not_kept(self):
+        # row and prefix hold 32 B a term, 128 MiB at u = 2^22; none of it
+        # may outlive the call
+        _evict_phase_row()
+        tracemalloc.start()
+        try:
+            divisor_phase_sum_hyperbola(2**22, 13.7)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 8 * 2**20
 
     def test_signed_zero_t_are_distinct(self):
         # the entry is keyed on the bits of t, so 0.0 and -0.0 never share one

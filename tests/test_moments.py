@@ -161,7 +161,7 @@ class TestOnePassEstimate:
     @pytest.mark.parametrize(
         "sigma, j, t_min, t_max",
         [
-            (0.9, 2, 0.0, 22.0),  # graded stretch below t* = 2.26, then log
+            (0.9, 2, 0.0, 22.0),  # graded stretch below t* = 3.98, then log
             (0.9, 2, 0.0, 184.0),
             (0.75, 1, 88.0, 184.0),  # log stretch only
             (0.5, 2, 9950.0, 1.0e4),  # near the desk-scale top
@@ -175,6 +175,20 @@ class TestOnePassEstimate:
         )
         assert finer.panel_count > res.panel_count > 0
         assert abs(finer.value - res.value) <= res.error_estimate + finer.error_estimate
+
+    @pytest.mark.parametrize("t_min, t_max", [(0.0, 50.0), (4750.0, 4752.375)])
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_wide_panels_agree_with_half_width(self, j, t_min, t_max):
+        # halved() is the narrower bandwidth term 2 / log(2 + t) above t*;
+        # the wide rule must move the value within its estimate and leave
+        # the estimate, set by the rounding term, where it was
+        spec = MomentSpec(0.6, j, t_min, t_max)
+        wide = integrate_moment(spec)
+        half = integrate_moment(
+            MomentSpec(0.6, j, t_min, t_max, spec.quadrature.halved())
+        )
+        assert abs(wide.value - half.value) <= wide.error_estimate
+        assert 1 / 1.25 <= wide.error_estimate / half.error_estimate <= 1.25
 
     def test_scan_sums_pieces(self):
         t_list = [16.0, 32.0, 64.0, 128.0]
@@ -296,6 +310,14 @@ class TestSplit:
         i1, _ = split_i1_i2(big_t, sigma, smoothing)
         assert i1.panel_count == panels
         assert abs(i1.value - value) <= i1.error_estimate
+
+    def test_i2_runs_on_half_width_panels(self):
+        # I2's weight has corners, so it keeps the narrower panels; I1's is
+        # a Dirichlet polynomial and takes the settings as given
+        q = QuadratureSettings()
+        i1, i2 = split_i1_i2(96.0, 0.75, 96.0**0.375, q)
+        assert i1.panel_count == integrate(np.cos, 0.0, 96.0, q)[1]
+        assert i2.panel_count == integrate(np.cos, 0.0, 96.0, q.halved())[1]
 
     def test_polynomial_beyond_term_cap(self):
         log_sq = math.log(96.0) ** 2
