@@ -12,11 +12,12 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import report
-from .config import Config, load_config, override
+from .config import Config, load_config
 from .dirichlet import DivisorTable, _term_count
 from .errors import (
     DomainError,
@@ -129,7 +130,10 @@ def _parse_coeffs(text: str) -> list[complex]:
         if m < 1:
             raise ParseError("power coeffs need M >= 1", 0)
         m = _term_count(m, "power coeffs", _MAX_WEIGHT_TERMS)
-        return [float(v) ** e for v in range(1, m + 1)]
+        try:
+            return [float(v) ** e for v in range(1, m + 1)]
+        except OverflowError:
+            raise DomainError(f"power coeffs m^{e!r} overflow for m <= {m}") from None
     try:
         return [complex(part.strip()) for part in text.split(",")]
     except ValueError:
@@ -410,7 +414,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         config = load_config(args.config)
-        config = override(config, threads=args.threads)
+        if args.threads is not None:
+            config = replace(config, threads=args.threads)  # validates again
         return args.func(args, config)
     except ParseError as exc:
         sys.stderr.write(f"zetalab: parse error: {exc}\n")

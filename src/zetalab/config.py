@@ -1,9 +1,10 @@
 """Flat key-value configuration for the CLI.
 
 Format: one `key = value` per line, `#` starts a comment anywhere,
-blank lines ignored, unknown keys rejected.  The keys are Config's four
-fields; series lengths the code works out and the report directory
-(`moment report --out`) are not keys.  --threads overrides the file;
+blank lines ignored, unknown keys rejected.  The keys are Config's two
+fields; series lengths the code works out, the panel rule (a constant
+of the quadrature) and the report directory (`moment report --out`) are
+not keys.  --threads overrides the file;
 the only environment variable honored is ZETALAB_CONFIG, which names
 the config file when --config is absent.  Thread counts live here so
 runs are reproducible from (flags, config) alone, never from ambient
@@ -13,7 +14,7 @@ machine state.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import ParseError
@@ -25,11 +26,10 @@ ENV_VAR = "ZETALAB_CONFIG"
 
 @dataclass(frozen=True)
 class Config:
-    """Effective settings: precision and quadrature."""
+    """Effective settings, two fields: the zeta precision target and the
+    quadrature thread count."""
 
     target_abs_error: float = EvalSettings.target_abs_error
-    points_per_panel: int = QuadratureSettings.points_per_panel
-    width_scale: float = QuadratureSettings.width_scale
     threads: int = QuadratureSettings.threads
 
     def __post_init__(self):
@@ -40,11 +40,7 @@ class Config:
         return EvalSettings(target_abs_error=self.target_abs_error)
 
     def quadrature_settings(self) -> QuadratureSettings:
-        return QuadratureSettings(
-            points_per_panel=self.points_per_panel,
-            width_scale=self.width_scale,
-            threads=self.threads,
-        )
+        return QuadratureSettings(threads=self.threads)
 
 
 # key -> parser: the type of each field's default
@@ -74,14 +70,9 @@ def parse_config(text: str) -> Config:
 
 
 def dump_config(config: Config) -> str:
-    """Render the effective config in parseable form (round-trips)."""
-    lines = []
-    for f in fields(Config):
-        value = getattr(config, f.name)
-        if isinstance(value, float):
-            value = f"{value:.15g}"
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+    """Render the effective config in parseable form; repr keeps every
+    digit of a float, so parse_config gives back an equal Config."""
+    return "".join(f"{f.name} = {getattr(config, f.name)!r}\n" for f in fields(Config))
 
 
 def load_config(path: Optional[str] = None) -> Config:
@@ -95,8 +86,3 @@ def load_config(path: Optional[str] = None) -> Config:
     with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())
 
-
-def override(config: Config, **changes) -> Config:
-    """Apply flag overrides; None values mean 'not given'."""
-    effective = {k: v for k, v in changes.items() if v is not None}
-    return replace(config, **effective) if effective else config

@@ -153,11 +153,19 @@ def _moment(
             vals = vals * np.abs(sums[0] if len(sums) == 1 else sums[0] + 1j * sums[1]) ** 2
         return vals if weight is None else vals * weight(ts)
 
-    value, panels, quad_error = integrate(f, t_min, t_max, quadrature)
+    where = f"rows {tuple(rows)} over [{t_min}, {t_max}]"
+    try:
+        value, panels, quad_error = integrate(f, t_min, t_max, quadrature)
+    except OverflowError:  # fsum of finite panels past the float range
+        value = quad_error = math.inf
+    if not (math.isfinite(value) and math.isfinite(quad_error)):
+        raise PrecisionError(
+            f"moment on {where} is not finite: value {value!r}, |K - G| {quad_error!r}"
+        )
     scale = 1 + abs(value)
     if quad_error > _STALL_TOL * scale:
         raise PrecisionError(
-            f"quadrature stalled on rows {tuple(rows)} over [{t_min}, {t_max}]: "
+            f"quadrature stalled on {where}: "
             f"value {value!r}, |K - G| {quad_error!r}"
         )
     terms = _choose_terms(complex(0.5, t_max), eval_settings)
@@ -316,10 +324,14 @@ def watt_ratio(
         raise DomainError("need at least one coefficient")
     if not np.all(np.isfinite(a)):
         raise DomainError("coefficients must be finite")
-    peak = float(np.max(np.abs(a)) ** 2)
-    if big_t == 0 or peak == 0:
+    top = float(np.max(np.abs(a)))
+    if big_t == 0 or top == 0:
         return MomentResult(0.0, 0.0, 0), 0.0, 0.0
-    rhs = big_t**1.01 * m_length * (1 + m_length**2 / math.sqrt(big_t)) * peak
+    rhs = big_t**1.01 * m_length * (1 + m_length**2 / math.sqrt(big_t)) * (top * top)
+    if not 0 < rhs < math.inf:  # so is lhs, which carries max|a_m|^2 too
+        raise DomainError(
+            f"rhs = {rhs!r} lies outside the float range (max|a_m| = {top!r})"
+        )
     # |sum a_m m^{it}|^2 = |sum conj(a_m) m^{-it}|^2
     lhs = _moment([(0.5, 4)], 0.0, big_t, quadrature, eval_settings, np.conj(a))
     return lhs, rhs, lhs.value / rhs

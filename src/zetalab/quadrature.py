@@ -4,10 +4,12 @@ The t-axis is cut into panels of width
 
     width(t) = scale * min(1/4 + t/2, 4 / log(2 + t)),
 
-and each panel gets a Gauss-Kronrod pair G_n / K_{2n+1} (n =
-points_per_panel; the default n = 10 is QUADPACK's qk21).  The width is
-set by the integrand's bandwidth, not by the spacing of the zeros: the
-moment integrands |zeta(1/2+it)|^4 |zeta(sigma+it)|^{2j} are products
+and each panel gets the Gauss-Kronrod pair G_10 / K_21, QUADPACK's
+qk21.  n = 10 is QuadratureSettings.points_per_panel, a constant of the
+rule and not a setting, because the width below is sized for 21 nodes:
+a different n would need a different width.  The width is set by the
+integrand's bandwidth, not by the spacing of the zeros: the moment
+integrands |zeta(1/2+it)|^4 |zeta(sigma+it)|^{2j} are products
 of Dirichlet polynomials of length about sqrt(t / 2 pi), so their
 frequencies stay below about (2 + j) log(t / 2 pi) (the Nyquist
 argument behind Odlyzko's band-limited interpolation of Z(t)).  Above
@@ -57,10 +59,10 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import fsum
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -75,20 +77,18 @@ _T_STAR = 3.9752212295366958
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Panel scheme controls: the Gauss order n of the G_n / K_{2n+1}
-    pair per panel, a width multiplier (refinement runs at half scale),
-    and the thread count, which comes from configuration and never from
-    the machine."""
+    """Panel scheme controls: a width multiplier (refinement and split's
+    I2 run at half scale) and the thread count, which comes from
+    configuration and never from the machine.  The Gauss order n of the
+    G_n / K_{2n+1} pair per panel is a constant of the rule, because
+    the width rule is sized for its 21 nodes."""
 
-    points_per_panel: int = 10
+    points_per_panel: ClassVar[int] = 10
     width_scale: float = 1.0
     threads: int = 1
 
     def __post_init__(self):
-        if self.points_per_panel < 2:
-            raise DomainError("points_per_panel must be >= 2")
-        if not (0 < self.width_scale <= 1):
-            raise DomainError("width_scale must lie in (0, 1]")
+        _check_scale(self.width_scale)
         if self.threads < 1:
             raise DomainError("threads must be >= 1")
         if self.threads > _MAX_THREADS:
@@ -97,9 +97,12 @@ class QuadratureSettings:
             )
 
     def halved(self) -> "QuadratureSettings":
-        return QuadratureSettings(
-            self.points_per_panel, self.width_scale / 2, self.threads
-        )
+        return replace(self, width_scale=self.width_scale / 2)
+
+
+def _check_scale(scale: float):
+    if not (0 < scale <= 1):  # also refuses NaN
+        raise DomainError(f"width scale must lie in (0, 1], got {scale}")
 
 
 def panel_width(t: float, scale: float = 1.0) -> float:
@@ -137,6 +140,7 @@ def panel_edges(t_min: float, t_max: float, scale: float = 1.0) -> np.ndarray:
     _panel_integral bounds the count above _MAX_PANELS, and in the loop
     when rounding cuts the steps short of the widths the bound assumes:
     a width under half an ulp of t leaves t + width == t."""
+    _check_scale(scale)
     if not (0 <= t_min <= t_max):
         raise DomainError(f"need 0 <= t_min <= t_max, got [{t_min}, {t_max}]")
     refused = _panel_integral(t_min, t_max, scale) + 1 > _MAX_PANELS

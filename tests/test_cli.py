@@ -326,6 +326,16 @@ class TestHarnessParity:
         assert cells[5] == report.fmt_float(residual)
 
 
+# the flags of `moment watt` whose numbers leave the float range, and
+# the cause the refusal names
+WATT_OUT_OF_RANGE = {
+    "--T 100 --coeffs 1e200": "rhs = inf",
+    "--T 100 --coeffs 1e-200": "rhs = 0.0",
+    "--T 2000 --coeffs 1e152": "is not finite",
+    "--T 30 --coeffs power:3:1e308": "power coeffs",
+}
+
+
 class TestMoment:
     def test_integrate(self, capsys):
         assert main(["moment", "integrate", "--T", "50"]) == 0
@@ -375,6 +385,19 @@ class TestMoment:
     def test_watt_bad_coeffs(self, capsys):
         assert main(["moment", "watt", "--T", "30", "--coeffs", "power:0:1"]) == 1
         assert main(["moment", "watt", "--T", "30", "--coeffs", "one,two"]) == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("flags", sorted(WATT_OUT_OF_RANGE))
+    def test_watt_outside_the_float_range_is_a_domain_error(self, flags, capsys):
+        # each of these printed inf, nan or a zero ratio, or raised
+        # OverflowError
+        assert main(["moment", "watt"] + flags.split()) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("zetalab: ")
+        assert WATT_OUT_OF_RANGE[flags] in captured.err
+        assert "Traceback" not in captured.err
 
 
 NON_FINITE_ARGVS = [
@@ -444,6 +467,12 @@ def test_length_beyond_term_cap_is_a_resource_limit(argv, capsys, monkeypatch):
     assert captured.err.startswith("zetalab: resource limit: ")
 
 
+def test_power_coeffs_outside_the_float_range():
+    with pytest.raises(zetalab.DomainError, match="overflow"):
+        cli._parse_coeffs("power:3:1e308")
+    assert cli._parse_coeffs("power:3:-1e308") == [1.0, 0.0, 0.0]  # underflow is exact zero
+
+
 def test_weight_at_cap_is_accepted_by_the_parser():
     coeffs = cli._parse_coeffs("power:131072:-0.5")
     assert len(coeffs) == 2**17 and coeffs[-1] == 131072.0**-0.5
@@ -505,6 +534,16 @@ class TestConfigPlumbing:
         path = tmp_path / "lab.cfg"
         path.write_text(f"target_abs_error = 1e-13\n{key} = 12\n")
         assert main(["--config", str(path), "zeta", "eval", "--sigma", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown config key {key!r} (at position 2)" in captured.err
+
+    @pytest.mark.parametrize("key", ["points_per_panel", "width_scale"])
+    def test_removed_panel_key_is_refused(self, tmp_path, capsys, key):
+        # the panel rule is a constant of the quadrature, not a setting
+        path = tmp_path / "lab.cfg"
+        path.write_text(f"threads = 2\n{key} = 1\n")
+        assert main(["--config", str(path), "moment", "integrate", "--T", "10"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unknown config key {key!r} (at position 2)" in captured.err

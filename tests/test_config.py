@@ -4,20 +4,29 @@ import math
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zetalab import (
     Config,
     DomainError,
     EvalSettings,
     ParseError,
+    QuadratureSettings,
     ResourceLimitError,
     dump_config,
     load_config,
     parse_config,
 )
-from zetalab.config import ENV_VAR, override
+from zetalab import cli
+from zetalab.config import ENV_VAR
 
-REMOVED_KEYS = ["euler_maclaurin_terms", "bernoulli_order", "divisor_table_size"]
+REMOVED_KEYS = [
+    "euler_maclaurin_terms",
+    "bernoulli_order",
+    "divisor_table_size",
+    "points_per_panel",
+    "width_scale",
+]
 
 
 class TestParse:
@@ -37,7 +46,8 @@ class TestParse:
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_removed_key_is_unknown(self, key):
         # N and q are worked out from target_abs_error; the afe2 table
-        # limit is a constant of the CLI
+        # limit is a constant of the CLI; the panel rule is a constant of
+        # the quadrature
         with pytest.raises(ParseError) as exc:
             parse_config(f"threads = 2\n{key} = 12\n")
         assert exc.value.position == 2
@@ -59,21 +69,27 @@ class TestParse:
 
     def test_bad_float(self):
         with pytest.raises(ParseError):
-            parse_config("width_scale = wide\n")
+            parse_config("target_abs_error = tiny\n")
 
     def test_out_of_range_value_is_domain_error(self):
         with pytest.raises(DomainError):
-            parse_config("width_scale = 2.0\n")
+            parse_config("target_abs_error = 0.0\n")
 
 
 class TestRoundTrip:
     def test_dump_then_parse_is_identity(self):
-        cfg = Config(
-            target_abs_error=1e-10,
-            points_per_panel=12,
-            width_scale=0.375,
-            threads=3,
-        )
+        cfg = Config(target_abs_error=1e-10, threads=3)
+        assert parse_config(dump_config(cfg)) == cfg
+        assert dump_config(Config()) == "target_abs_error = 1e-13\nthreads = 1\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.integers(min_value=1, max_value=64),
+    )
+    def test_every_float_round_trips(self, target, threads):
+        # 15 significant digits would lose 1.2345678901234567e-13
+        cfg = Config(target_abs_error=target, threads=threads)
         assert parse_config(dump_config(cfg)) == cfg
 
     @pytest.mark.parametrize("name", [f.name for f in fields(Config)])
@@ -85,10 +101,8 @@ class TestRoundTrip:
         assert parsed == cfg
         assert type(getattr(parsed, name)) is type(changed)
 
-    def test_four_fields(self):
-        assert [f.name for f in fields(Config)] == [
-            "target_abs_error", "points_per_panel", "width_scale", "threads"
-        ]
+    def test_two_fields(self):
+        assert [f.name for f in fields(Config)] == ["target_abs_error", "threads"]
 
 
 class TestValidation:
@@ -98,10 +112,10 @@ class TestValidation:
             {"target_abs_error": 0.0},
             {"target_abs_error": -1e-13},
             {"target_abs_error": math.nan},
-            {"points_per_panel": 1},
-            {"width_scale": 0.0},
-            {"width_scale": math.nan},
+            {"target_abs_error": -0.0},
+            {"target_abs_error": -math.inf},
             {"threads": 0},
+            {"threads": -1},
         ],
     )
     def test_rejects(self, kwargs):
@@ -114,12 +128,11 @@ class TestValidation:
         with pytest.raises(ResourceLimitError):
             parse_config("threads = 100000\n")
         with pytest.raises(ResourceLimitError):
-            override(Config(), threads=100_000)
+            replace(Config(), threads=100_000)
 
     def test_settings_projections(self):
-        cfg = Config(points_per_panel=8, width_scale=0.5, threads=2, target_abs_error=1e-10)
-        assert cfg.quadrature_settings().points_per_panel == 8
-        assert cfg.quadrature_settings().threads == 2
+        cfg = Config(threads=2, target_abs_error=1e-10)
+        assert cfg.quadrature_settings() == QuadratureSettings(threads=2)
         assert cfg.eval_settings() == EvalSettings(target_abs_error=1e-10)
 
 
@@ -148,11 +161,30 @@ class TestLoad:
 
 
 class TestOverride:
-    def test_none_means_not_given(self):
-        cfg = Config(threads=2)
-        assert override(cfg, threads=None) is cfg
-        assert override(cfg, threads=6).threads == 6
+    """The global --threads flag over a config file's threads, as the
+    config reaches a command."""
 
-    def test_override_revalidates(self):
-        with pytest.raises(DomainError):
-            override(Config(), threads=0)
+    @pytest.fixture
+    def seen(self, tmp_path, monkeypatch):
+        path = tmp_path / "lab.cfg"
+        path.write_text("threads = 3\n")
+        monkeypatch.setenv(ENV_VAR, str(path))
+        configs = []
+
+        def spy(args, config):
+            configs.append(config)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_zeta_eval", spy)
+        return configs
+
+    def test_none_means_not_given(self, seen):
+        assert cli.main(["zeta", "eval", "--sigma", "2"]) == 0
+        assert cli.main(["--threads", "5", "zeta", "eval", "--sigma", "2"]) == 0
+        assert [config.threads for config in seen] == [3, 5]
+
+    def test_override_revalidates(self, seen, capsys):
+        assert cli.main(["--threads", "0", "zeta", "eval", "--sigma", "2"]) == 3
+        assert cli.main(["--threads", "100000", "zeta", "eval", "--sigma", "2"]) == 4
+        assert seen == []
+        assert capsys.readouterr().out == ""

@@ -126,13 +126,24 @@ class TestIntegrateMoment:
         )
         assert abs((res.value - closed) / big_t - math.pi) <= 0.5
 
-    def test_stall_raises_precision_error(self):
+    def test_stall_raises_precision_error(self, monkeypatch):
         # |zeta(1/2+it)|^8 dips to an octic zero near t = 14.13; two-point
         # panels about 0.7 wide cannot track it, so K and G disagree
         # beyond the stall tolerance.
-        rough = QuadratureSettings(points_per_panel=2, width_scale=1.0)
+        monkeypatch.setattr(QuadratureSettings, "points_per_panel", 2)
         with pytest.raises(PrecisionError):
-            integrate_moment(MomentSpec(0.5, 2, 13.0, 16.0, rough))
+            integrate_moment(MomentSpec(0.5, 2, 13.0, 16.0))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("level", [math.nan, math.inf, 1e307])
+    def test_non_finite_moment_raises_precision_error(self, level):
+        # a NaN value passed the stall check (NaN > tol is False); finite
+        # panels of 1e307 each overflow fsum, which raised OverflowError
+        with pytest.raises(PrecisionError, match=r"moment on rows \(\(0.5, 0\),\)"):
+            moments._moment(
+                [(0.5, 0)], 0.0, 100.0, QuadratureSettings(), DEFAULT_SETTINGS,
+                weight=lambda ts: np.full_like(ts, level),
+            )
 
 
 class TestOnePassEstimate:
@@ -377,6 +388,25 @@ class TestWatt:
         assert abs(lhs.value - value) <= lhs.error_estimate
         assert abs(watt_ratio(120.0, np.conj(a))[0].value - value) > 0.01 * value
 
+    @pytest.mark.parametrize(
+        "big_t, coeffs",
+        [
+            (100.0, [0.0, 1e200]),
+            (100.0, [0.0, 1e-200]),
+            (100.0, [0.0, 1e155 + 1e155j]),
+            (100.0, [0.0, 5e-324]),
+            (100.0, [1e150] + [0.0] * 999),
+            (5e-324, [1.0]),
+        ],
+    )
+    def test_rhs_outside_the_float_range(self, big_t, coeffs, monkeypatch):
+        # max|a_m|^2 overflowed to inf (lhs inf, ratio nan) or underflowed
+        # to 0 (ratio 0, though the ratio does not depend on the scale),
+        # or rhs itself did; refused before the kernels run
+        monkeypatch.setattr(moments, "zeta_grid_multi", _no_kernel)
+        with pytest.raises(DomainError, match="lies outside the float range"):
+            watt_ratio(big_t, coeffs)
+
     def test_rhs_formula(self):
         _, rhs, _ = watt_ratio(100.0, [0.0, 3.0])
         expected = 100.0**1.01 * 2 * (1 + 4 / math.sqrt(100.0)) * 9.0
@@ -497,11 +527,12 @@ class TestOnePath:
     @pytest.mark.parametrize(
         "case", ["split-I1-T40-s0.75", "watt-T30-M4-e-0.5", "sixth-T64"]
     )
-    def test_rough_rule_raises_precision_error(self, case):
+    def test_rough_rule_raises_precision_error(self, case, monkeypatch):
         # two-point panels cannot track |zeta|^4 or |zeta|^6 near the
         # low zeros, as in test_stall_raises_precision_error
+        monkeypatch.setattr(QuadratureSettings, "points_per_panel", 2)
         with pytest.raises(PrecisionError):
-            ONE_PATH_CASES[case](QuadratureSettings(points_per_panel=2))
+            ONE_PATH_CASES[case](QuadratureSettings())
 
     def test_split_i2_estimate_covers_the_rule_change(self):
         # I2 of `moment split --T 96` moved 4.45e-9 relative when the panel

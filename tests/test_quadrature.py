@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ class TestPanelRule:
         with pytest.raises(DomainError):
             panel_edges(t_min, 1.0)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, 1.5, math.inf, math.nan])
+    def test_scale_outside_unit_interval_is_refused(self, scale):
+        # the rule QuadratureSettings applies to width_scale
+        with pytest.raises(DomainError, match="width scale"):
+            panel_edges(0.0, 10.0, scale)
+        with pytest.raises(DomainError, match="width scale"):
+            QuadratureSettings(width_scale=scale)
+
     def test_panel_budget_guard(self):
         with pytest.raises(ResourceLimitError):
             panel_edges(0.0, 10.0, 1e-6)
@@ -121,22 +130,27 @@ class TestPanelRule:
 
 class TestSettings:
     def test_halved(self):
-        q = QuadratureSettings(points_per_panel=8, width_scale=0.6, threads=3)
-        h = q.halved()
-        assert h == QuadratureSettings(8, 0.3, 3)
+        q = QuadratureSettings(width_scale=0.6, threads=3)
+        assert q.halved() == QuadratureSettings(width_scale=0.3, threads=3)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"points_per_panel": 1},
+            {"points_per_panel": 10},
             {"width_scale": 0.0},
             {"width_scale": 1.5},
             {"threads": 0},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(DomainError):
+        # n is a constant of the rule, not a constructor argument
+        error = TypeError if "points_per_panel" in kwargs else DomainError
+        with pytest.raises(error):
             QuadratureSettings(**kwargs)
+
+    def test_points_per_panel_is_a_class_constant(self):
+        assert QuadratureSettings.points_per_panel == 10
+        assert [f.name for f in fields(QuadratureSettings)] == ["width_scale", "threads"]
 
     def test_thread_cap(self):
         assert QuadratureSettings(threads=_MAX_THREADS).threads == _MAX_THREADS
@@ -202,11 +216,12 @@ class TestIntegrate:
             parallel = integrate(f, 0.0, 200.0, QuadratureSettings(threads=threads))
             assert parallel == serial  # value, panels and error, bit for bit
 
-    def test_error_estimate_covers_error(self):
+    def test_error_estimate_covers_error(self, monkeypatch):
         exact = math.atan(30.0)
         for n in (2, 4, 10):
+            monkeypatch.setattr(QuadratureSettings, "points_per_panel", n)
             value, _, error = integrate(
-                lambda t: 1.0 / (1.0 + t**2), 0.0, 30.0, QuadratureSettings(n)
+                lambda t: 1.0 / (1.0 + t**2), 0.0, 30.0, QuadratureSettings()
             )
             assert abs(value - exact) <= error
 

@@ -1,11 +1,14 @@
 """The README's command-line examples print what the README shows, its
-library quick start runs, and its objective grammar is the parser's."""
+library quick start runs, its objective grammar is the parser's, and
+its configuration table is Config's fields."""
 
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from zetalab import Config
 from zetalab.cli import main
 from zetalab.objectives import OBJECTIVE_GRAMMAR
 
@@ -50,6 +53,16 @@ def test_grammar_block_is_the_parser_grammar():
     block = section.split("```\n", 2)[1]
     grammar = [line for line in OBJECTIVE_GRAMMAR.splitlines() if ":=" in line]
     assert block.splitlines() == grammar
+
+
+def test_configuration_table_is_the_config_fields():
+    """The "Configuration" table lists exactly the fields of Config, in
+    order, each with its default."""
+    section = README.read_text().split("### Configuration", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    assert [(key.strip(), default.strip()) for key, default in rows] == [
+        (f"`{f.name}`", f"`{f.default!r}`") for f in fields(Config)
+    ]
 
 
 def test_library_quick_start_runs(capsys):
