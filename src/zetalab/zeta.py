@@ -93,8 +93,8 @@ class EvalSettings:
     target_abs_error: float = 1e-13
 
     def __post_init__(self):
-        if not (self.target_abs_error > 0):
-            raise DomainError("target_abs_error must be > 0")
+        if not (0 < self.target_abs_error < math.inf):
+            raise DomainError("target_abs_error must be finite and > 0")
 
 
 DEFAULT_SETTINGS = EvalSettings()

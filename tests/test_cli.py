@@ -548,6 +548,17 @@ class TestConfigPlumbing:
         assert captured.out == ""
         assert f"unknown config key {key!r} (at position 2)" in captured.err
 
+    def test_infinite_target_is_a_domain_error(self, tmp_path, capsys):
+        # an infinite target collapses the Euler-Maclaurin length to
+        # garbage values (-1520.76+574.12i here, |zeta| ~ 1e-7)
+        path = tmp_path / "lab.cfg"
+        path.write_text("target_abs_error = inf\n")
+        argv = ["zeta", "eval", "--sigma", "0.5", "--t", "14.134725"]
+        assert main(["--config", str(path), *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "target_abs_error must be finite" in captured.err
+
     def test_thread_override_rejects_zero(self, capsys):
         assert main(["--threads", "0", "zeta", "eval", "--sigma", "2"]) == 3
 
@@ -595,15 +606,19 @@ class TestDeterminism:
 
 def test_import_leaves_out_scipy_and_mpmath():
     """No source file of the package names scipy, and a fresh interpreter
-    that imports zetalab.cli has no scipy or mpmath module loaded: either
-    import would add a large share of every command's start-up time and
-    resident memory."""
+    that imports zetalab.cli and integrates one moment has no scipy,
+    mpmath or numpy.polynomial module loaded: each import would add to
+    every command's start-up time and resident memory, and the panel
+    rule is a table that needs none of them."""
     package = Path(zetalab.__file__).resolve().parent
     for path in sorted(package.glob("*.py")):
         assert "scipy" not in path.read_text(encoding="utf-8"), path.name
     code = (
         "import sys, zetalab.cli; "
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
+        "from zetalab.moments import MomentSpec, integrate_moment; "
+        "integrate_moment(MomentSpec(0.5, 0, 0.0, 10.0)); "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath') "
+        "or m.startswith('numpy.polynomial')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

@@ -1,11 +1,12 @@
 """Weighted moment integrals, growth fits, and the split/comparator probes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from zetalab import moments
+from zetalab import moments, quadrature
 from zetalab import (
     DegenerateFitError,
     DomainError,
@@ -126,13 +127,12 @@ class TestIntegrateMoment:
         )
         assert abs((res.value - closed) / big_t - math.pi) <= 0.5
 
-    def test_stall_raises_precision_error(self, monkeypatch):
-        # |zeta(1/2+it)|^8 dips to an octic zero near t = 14.13; two-point
-        # panels about 0.7 wide cannot track it, so K and G disagree
-        # beyond the stall tolerance.
-        monkeypatch.setattr(QuadratureSettings, "points_per_panel", 2)
-        with pytest.raises(PrecisionError):
-            integrate_moment(MomentSpec(0.5, 2, 13.0, 16.0))
+    def test_stall_raises_precision_error(self):
+        # at sigma = 1 the pole of zeta at s = 1 sits on the interval's
+        # end t = 0, where no panel resolves the integrand, so K and G
+        # disagree beyond the stall tolerance.
+        with pytest.raises(PrecisionError, match="stalled"):
+            integrate_moment(MomentSpec(1.0, 2, 0.0, 1.0))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("level", [math.nan, math.inf, 1e307])
@@ -407,6 +407,14 @@ class TestWatt:
         with pytest.raises(DomainError, match="lies outside the float range"):
             watt_ratio(big_t, coeffs)
 
+    def test_overflowing_lhs_is_a_precision_error(self):
+        # rhs fits the float range, but the panel sums of lhs overflow;
+        # the refusal comes without numpy's RuntimeWarnings ahead of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError, match="is not finite"):
+                watt_ratio(2000.0, [1e152])
+
     def test_rhs_formula(self):
         _, rhs, _ = watt_ratio(100.0, [0.0, 3.0])
         expected = 100.0**1.01 * 2 * (1 + 4 / math.sqrt(100.0)) * 9.0
@@ -528,10 +536,9 @@ class TestOnePath:
         "case", ["split-I1-T40-s0.75", "watt-T30-M4-e-0.5", "sixth-T64"]
     )
     def test_rough_rule_raises_precision_error(self, case, monkeypatch):
-        # two-point panels cannot track |zeta|^4 or |zeta|^6 near the
-        # low zeros, as in test_stall_raises_precision_error
-        monkeypatch.setattr(QuadratureSettings, "points_per_panel", 2)
-        with pytest.raises(PrecisionError):
+        # panels 4 wide cannot track |zeta|^4 or |zeta|^6 near the low zeros
+        monkeypatch.setattr(quadrature, "panel_width", lambda t, scale=1.0: 4.0 * scale)
+        with pytest.raises(PrecisionError, match="stalled"):
             ONE_PATH_CASES[case](QuadratureSettings())
 
     def test_split_i2_estimate_covers_the_rule_change(self):

@@ -9,10 +9,17 @@ import numpy as np
 import pytest
 
 from zetalab import DomainError, QuadratureSettings, integrate, panel_edges, panel_width
+from zetalab import quadrature
 from zetalab.errors import ResourceLimitError
-from zetalab.quadrature import _MAX_THREADS, _T_STAR, _kronrod_rule, _panel_integral
+from zetalab.quadrature import _MAX_PANELS, _MAX_THREADS, _W_GAUSS, _W_KRONROD, _X
 
 EPS = 2.0**-52
+
+
+def _budget(t_min: float, t_max: float, scale: float) -> float:
+    """The endpoint bound on the panel count that panel_edges checks."""
+    narrowest = min(panel_width(t_min, scale), panel_width(t_max, scale))
+    return (t_max - t_min) / narrowest + 1
 
 
 def _scipy_kronrod_literals(name: str) -> dict:
@@ -43,10 +50,17 @@ class TestPanelRule:
         assert panel_width(1.0, 0.5) == pytest.approx(0.375)
 
     def test_t_star_is_where_the_terms_meet(self):
-        assert 0.25 + _T_STAR / 2 == pytest.approx(4 / math.log(2 + _T_STAR), rel=1e-15)
-        below, above = _T_STAR - 1e-6, _T_STAR + 1e-6
-        assert panel_width(below) == 0.25 + below / 2
-        assert panel_width(above) == 4 / math.log(2 + above)
+        # the width rises up to t* ~ 3.975 and falls after it, so its
+        # least value on an interval is at one end: the premise of the
+        # up-front panel budget
+        below = np.linspace(0.0, 3.97, 2000)
+        above = np.geomspace(3.98, 1e15, 2000)
+        for scale in (1.0, 0.5):
+            rising = [panel_width(t, scale) for t in below]
+            falling = [panel_width(t, scale) for t in above]
+            assert (np.diff(rising) > 0).all() and (np.diff(falling) < 0).all()
+        assert panel_width(3.97) == 0.25 + 3.97 / 2
+        assert panel_width(3.98) == 4 / math.log(2 + 3.98)
 
     def test_scale_multiplies(self):
         assert panel_width(50.0, 0.5) == pytest.approx(0.5 * panel_width(50.0))
@@ -86,15 +100,36 @@ class TestPanelRule:
         with pytest.raises(ResourceLimitError):
             panel_edges(0.0, 10.0, 1e-6)
 
+    def test_infinite_t_max_is_refused(self):
+        # the width at t = inf is 0, so the bound is infinite
+        with pytest.raises(ResourceLimitError):
+            panel_edges(0.0, math.inf)
+        with pytest.raises(ResourceLimitError):
+            integrate(np.cos, 0.0, math.inf)
+
+    def test_budget_refuses_before_the_loop(self, monkeypatch):
+        # [0, T] at scale 1 is budgeted at T / (1/4) + 1 panels, so
+        # refused above T = 1.25e6: the two endpoint widths are all it reads
+        calls = []
+
+        def width(t, scale=1.0):
+            calls.append(t)
+            return panel_width(t, scale)
+
+        monkeypatch.setattr(quadrature, "panel_width", width)
+        with pytest.raises(ResourceLimitError):
+            panel_edges(0.0, 1.3e6)
+        assert calls == [0.0, 1.3e6]
+
     @pytest.mark.parametrize(
         "t_min, t_max, scale",
         [(4000.0, 4000.000000001, 1e-13), (4e15, 4e15 + 1, 1.0)],
     )
     def test_width_under_half_ulp_is_refused(self, t_min, t_max, scale):
         # t + width rounds back to t, so the greedy loop cannot advance,
-        # while the closed-form count stays under the budget
+        # while the endpoint bound stays under the budget
         assert t_min + panel_width(t_min, scale) == t_min
-        assert _panel_integral(t_min, t_max, scale) + 1 < 5_000_000
+        assert _budget(t_min, t_max, scale) < _MAX_PANELS
         with pytest.raises(ResourceLimitError):
             panel_edges(t_min, t_max, scale)
         with pytest.raises(ResourceLimitError):
@@ -121,11 +156,9 @@ class TestPanelRule:
         ],
     )
     def test_panel_integral_counts_the_partition(self, t_min, t_max, scale):
-        # the up-front budget check reads this integral in place of the count
+        # the up-front budget check reads this bound in place of the count
         count = panel_edges(t_min, t_max, scale).size - 1
-        integral = _panel_integral(t_min, t_max, scale)
-        assert count <= integral + 1
-        assert abs(count - integral) <= 1
+        assert count <= _budget(t_min, t_max, scale)
 
 
 class TestSettings:
@@ -149,7 +182,7 @@ class TestSettings:
             QuadratureSettings(**kwargs)
 
     def test_points_per_panel_is_a_class_constant(self):
-        assert QuadratureSettings.points_per_panel == 10
+        assert QuadratureSettings.points_per_panel == 10 == _W_GAUSS.size
         assert [f.name for f in fields(QuadratureSettings)] == ["width_scale", "threads"]
 
     def test_thread_cap(self):
@@ -160,10 +193,13 @@ class TestSettings:
 
 
 class TestKronrodRule:
-    @pytest.mark.parametrize("n", [2, 7, 10, 16])
+    """The table of G_10 / K_21, mirrored into the whole rule."""
+
+    @pytest.mark.parametrize("n", [QuadratureSettings.points_per_panel])
     def test_exact_on_legendre_to_degree_3n_plus_1(self, n):
-        x, w, _ = _kronrod_rule(n)
+        x, w = _X, _W_KRONROD
         assert x.size == 2 * n + 1 and (np.diff(x) > 0).all()
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
         residual = np.polynomial.legendre.legvander(x, 3 * n + 1).T @ w
         residual[0] -= 2.0
         # each sum has 2n+1 terms of total modulus <= sum(w) = 2
@@ -173,20 +209,20 @@ class TestKronrodRule:
         beyond = 3 * n + 2 + n % 2
         assert abs(np.polynomial.legendre.legvander(x, beyond)[:, beyond] @ w) > 1e-6
 
-    @pytest.mark.parametrize("n", [2, 7, 10, 16])
+    @pytest.mark.parametrize("n", [QuadratureSettings.points_per_panel])
     def test_gauss_subset_is_leggauss(self, n):
-        x, _, w_gauss = _kronrod_rule(n)
+        # points_per_panel is the size of the Gauss table
         gx, gw = np.polynomial.legendre.leggauss(n)
-        assert np.array_equal(x[1::2], gx)
-        assert np.array_equal(w_gauss, gw)
+        assert np.array_equal(_X[1::2], gx)
+        assert np.array_equal(_W_GAUSS, gw)
 
-    @pytest.mark.parametrize("n, name", [(7, "_quadrature_gk15"), (10, "_quadrature_gk21")])
+    @pytest.mark.parametrize("n, name", [(10, "_quadrature_gk21")])
     def test_matches_quadpack_literals(self, n, name):
         lit = _scipy_kronrod_literals(name)
         order = np.argsort(lit["x"])
-        x, w, _ = _kronrod_rule(n)
-        assert np.abs(x - lit["x"][order]).max() <= 1e-15
-        assert np.abs(w - lit["v"][order]).max() <= 1e-15
+        assert _X.size == lit["x"].size == 2 * n + 1
+        assert np.abs(_X - lit["x"][order]).max() <= 1e-15
+        assert np.abs(_W_KRONROD - lit["v"][order]).max() <= 1e-15
 
 
 class TestIntegrate:
@@ -218,8 +254,9 @@ class TestIntegrate:
 
     def test_error_estimate_covers_error(self, monkeypatch):
         exact = math.atan(30.0)
-        for n in (2, 4, 10):
-            monkeypatch.setattr(QuadratureSettings, "points_per_panel", n)
+        for wide in (False, True):
+            if wide:  # panels 4 wide, past what the width rule allows
+                monkeypatch.setattr(quadrature, "panel_width", lambda t, scale=1.0: 4.0 * scale)
             value, _, error = integrate(
                 lambda t: 1.0 / (1.0 + t**2), 0.0, 30.0, QuadratureSettings()
             )

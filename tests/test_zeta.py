@@ -115,7 +115,7 @@ class TestZetaValues:
         assert b[8] == F(-1, 30)
 
     def test_settings_validation(self):
-        for bad in (0.0, -1e-13, math.nan):
+        for bad in (0.0, -1e-13, math.nan, math.inf):
             with pytest.raises(DomainError):
                 EvalSettings(target_abs_error=bad)
 
