@@ -32,10 +32,15 @@ below sigma = 2^53 u while k (k + 1) < 2^53, so numpy sums them exactly
 in any order.  Repeating on the rest, which is at most u, leaves after a
 few rounds (each removes 53 - g bits of range) a handful of exact
 partial sums, and fsum of those is the correctly rounded total: the
-value fsum gives on the terms themselves.  Sums of under 512 terms
-(where fsum is as fast) or over 2^26, non-finite terms and terms of
-size 2^900 or more go to fsum unchanged, so its overflow and NaN
-behaviour stay as they are; so do exact zeros, whose sign fsum decides.
+value fsum gives on the terms themselves.  With two partial sums that
+is their one rounded addition, so fsum runs only where a third follows.
+_fsum_rows does this for every row of a matrix at once, each row with
+its own sigma, so a row's sum does not depend on the rows beside it;
+_fsum_complex is its one-row call.  Blocks of under 512 terms (where
+fsum is as fast), rows of over 2^26, rows with non-finite terms or
+terms of size 2^900 or more go to fsum unchanged, so its overflow and
+NaN behaviour stay as they are; so do exact zeros, whose sign fsum
+decides.
 
 The divisor sums at one t share one phase row n^{it} and its prefix
 sums: a one-entry cache keyed on the bits of t (_phase_row), which keeps
@@ -59,7 +64,7 @@ from .errors import DomainError, ResourceLimitError
 _MAX_TERMS = 1 << 22  # the one cap on an exactly summed series (see above)
 _CACHE_TERMS = 1 << 16  # the longest phase row _phase_row keeps, 32 B a term
 _BLOCK = 8192
-_EXACT_MIN = 512  # terms; shorter sums go to fsum, which is as fast there
+_EXACT_MIN = 512  # terms; smaller blocks go to fsum, which is as fast there
 _EXACT_MAX = 2**26  # terms; the extraction below is exact while k (k + 1) < 2^53
 _EXACT_LIMIT = 2.0**900  # parts this large go to fsum, which raises on overflow
 # (bits of t, n^{it} for n <= size, its prefix sums); see _phase_row
@@ -68,27 +73,56 @@ _phase_cache = ("", np.empty(0, dtype=np.complex128), np.empty(0, dtype=np.compl
 
 def _fsum_complex(terms: np.ndarray) -> complex:
     """Exactly rounded sum of a complex array: bit for bit
-    complex(fsum(terms.real), fsum(terms.imag)), by the exact sum of the
-    module docstring."""
-    parts = np.ascontiguousarray(terms, dtype=np.complex128).view(np.float64)
-    peak = float(np.abs(parts).max()) if _EXACT_MIN <= terms.size <= _EXACT_MAX else 0.0
-    if not 0 < peak < _EXACT_LIMIT:
-        return complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))
-    grow = terms.size.bit_length()
-    re: list[float] = []
-    im: list[float] = []
-    rest = parts
-    while peak:
-        sigma = math.ldexp(1.0, math.frexp(peak)[1] + grow)
+    complex(fsum(terms.real), fsum(terms.imag)), _fsum_rows on one row."""
+    return complex(*_fsum_rows(_complex_parts(terms[None]))[0])
+
+
+def _complex_parts(terms: np.ndarray) -> np.ndarray:
+    """A complex (rows, k) matrix as its float parts, shape (rows, 2, k)."""
+    terms = np.ascontiguousarray(terms, dtype=np.complex128)
+    return terms.view(np.float64).reshape(*terms.shape, 2).transpose(0, 2, 1)
+
+
+def _fsum_rows(parts: np.ndarray) -> np.ndarray:
+    """Exactly rounded sums over the last axis of a float array of shape
+    (rows, c, k): out[r, j] is bit for bit fsum(parts[r, j]).
+
+    The exact sum of the module docstring, with one sigma per row, from
+    the row's largest part in any component.  fsum itself sums a block
+    of fewer than _EXACT_MIN terms, a row with a non-finite part or a
+    part of 2^900 or more, and a total that is exactly zero, whose sign
+    fsum decides.
+    """
+    rows, _, k = parts.shape
+    if rows * k < _EXACT_MIN:
+        sums = [[fsum(p) for p in row] for row in parts.tolist()]
+        return np.array(sums).reshape(parts.shape[:2])
+    peak = np.maximum(parts.max(axis=(1, 2)), -parts.min(axis=(1, 2)))
+    exact = (0 < peak) & (peak < _EXACT_LIMIT) if k <= _EXACT_MAX else np.zeros(rows, bool)
+    grow = k.bit_length()
+    rest = np.array(parts, order="C")
+    if not exact.all():
+        rest[~exact] = 0  # these rows sum to zero here, and fsum sums them below
+        peak[~exact] = 0
+    partial = []
+    while peak.any():
+        sigma = np.ldexp(1.0, np.frexp(peak)[1] + grow)[:, None, None]
         high = rest + sigma
         high -= sigma
-        re.append(float(high[0::2].sum()))
-        im.append(float(high[1::2].sum()))
-        rest = rest - high
-        peak = float(np.abs(rest, out=high).max())
-    return complex(
-        fsum(re) or fsum(terms.real.tolist()), fsum(im) or fsum(terms.imag.tolist())
-    )
+        partial.append(high.sum(axis=2))
+        rest -= high
+        peak = np.abs(rest, out=high).max(axis=(1, 2))
+    partial += [np.zeros(parts.shape[:2])] * (2 - len(partial))
+    # one rounding of the first two partial sums is fsum's, unless more follow
+    out = partial[0] + partial[1]
+    if len(partial) > 2:
+        stacked = np.stack(partial, axis=-1)  # (rows, c, rounds)
+        for r, j in zip(*np.nonzero(stacked[..., 2:].any(axis=-1))):
+            out[r, j] = fsum(stacked[r, j].tolist())
+    if not out.all():
+        for r, j in zip(*np.nonzero(out == 0)):
+            out[r, j] = fsum(parts[r, j].tolist())
+    return out
 
 
 def _compensated_cumsum(terms: np.ndarray) -> np.ndarray:

@@ -9,8 +9,11 @@ any command produce the same bytes.
 
 zeta_row is the one builder of ZETA_CSV_HEADER rows.  Each zeta harness
 has one point function returning (row, figure): afe_row, afe2_row and
-smooth_row serve both the scan and the single-point CLI command.  The
-afe and smooth bound columns are fixed shapes, AFE_BOUND and
+smooth_row serve the single-point CLI command and, for smooth, the scan.
+fe_check_rows, afe_scan_rows and afe2_scan_rows evaluate their whole grid
+in one call of the zeta module's array path, whose values at a point
+do not depend on the batch, so a scan row equals its point function's
+row.  The afe and smooth bound columns are fixed shapes, AFE_BOUND and
 SMOOTH_BOUND * Y^{1/2 - sigma}; nothing here compares them with a residual.
 """
 
@@ -37,12 +40,14 @@ from .errors import DomainError
 from .moments import MomentSpec, integrate_moment, sixth_moment_probe, watt_ratio
 from .zeta import (
     EvalSettings,
+    _afe2_points,
+    _afe_points,
     _choose_terms,
+    _fe_residuals,
     _log_gamma,
     _zeta_at,
     afe_simple,
     afe_zeta_squared,
-    chi,
     chi_grid,
     smoothed_sum,
     zeta,
@@ -107,15 +112,15 @@ def zeta_row(sigma, t, x_or_y, value, residual=None, bound=None) -> list[str]:
 def fe_check_rows(
     name: str, settings: EvalSettings
 ) -> tuple[list[list[str]], float]:
-    """Residual rows over a named grid; returns (rows, max residual)."""
-    rows = []
-    worst = 0.0
-    for s in fe_check_grid(name):
-        z = zeta(s, settings)
-        residual = abs(z - chi(s) * zeta(1 - s, settings))
-        worst = max(worst, residual)
-        rows.append(zeta_row(s.real, s.imag, None, z, residual, 1e-8))
-    return rows, worst
+    """Residual rows over a named grid, the whole grid in one array
+    evaluation; returns (rows, max residual)."""
+    grid = fe_check_grid(name)
+    values, residuals = _fe_residuals(grid, settings)
+    rows = [
+        zeta_row(s.real, s.imag, None, z, residual, 1e-8)
+        for s, z, residual in zip(grid, values, residuals)
+    ]
+    return rows, max(residuals, default=0.0)
 
 
 def afe_row(
@@ -127,20 +132,32 @@ def afe_row(
     return zeta_row(sigma, t, cutoff, value, residual, AFE_BOUND), residual
 
 
+def afe_grid() -> list[tuple[float, float, float]]:
+    """42 points (sigma, t, cutoff): for T in {100, 1000} and three
+    sigmas, seven t in [T, 2T] with cutoff 2T."""
+    return [
+        (sigma, float(t), 2 * big_t)
+        for big_t in (100.0, 1000.0)
+        for sigma in (0.5, 0.75, 1.0)
+        for t in np.linspace(big_t, 2 * big_t, 7)
+    ]
+
+
 def afe_scan_rows(settings: EvalSettings) -> tuple[list[list[str]], float]:
-    """Truncated-series residuals over t in [T, 2T] with cutoff 2T.
+    """Truncated-series residuals over afe_grid, the whole grid in one
+    array evaluation; each row is afe_row's at its point.
 
     The residual contract is O(1) with an unspecified constant; rows
     carry residual/AFE_BOUND, and the returned worst residual is what
     acceptance holds to 10, nothing sharper.
     """
-    scan = [
-        afe_row(sigma, float(t), 2 * big_t, settings)
-        for big_t in (100.0, 1000.0)
-        for sigma in (0.5, 0.75, 1.0)
-        for t in np.linspace(big_t, 2 * big_t, 7)
+    grid = afe_grid()
+    scan = _afe_points([complex(s, t) for s, t, _ in grid], [c for *_, c in grid], settings)
+    rows = [
+        zeta_row(sigma, t, cutoff, value, residual, AFE_BOUND)
+        for (sigma, t, cutoff), (value, residual) in zip(grid, scan)
     ]
-    return [row for row, _ in scan], max((residual for _, residual in scan), default=0.0)
+    return rows, max((residual for _, residual in scan), default=0.0)
 
 
 def afe2_grid() -> list[tuple[float, float, float]]:
@@ -165,15 +182,20 @@ def afe2_row(
 
 
 def afe2_scan_rows(settings: EvalSettings) -> tuple[list[list[str]], float]:
-    """Two-sum representation residuals over the 50-point grid.
+    """Two-sum representation residuals over the 50-point grid, the whole
+    grid in one array evaluation; each row is afe2_row's at its point.
 
     Returns (rows, worst residual/bound ratio), which acceptance holds
     to 50.
     """
     grid = afe2_grid()
     table = DivisorTable(int(max(x for _, _, x in grid)) + 1)
-    scan = [afe2_row(sigma, t, x, table, settings) for sigma, t, x in grid]
-    return [row for row, _ in scan], max((ratio for _, ratio in scan), default=0.0)
+    scan = _afe2_points([complex(s, t) for s, t, _ in grid], [x for *_, x in grid], table, settings)
+    rows = [
+        zeta_row(sigma, t, x, value, residual, bound)
+        for (sigma, t, x), (value, residual, bound) in zip(grid, scan)
+    ]
+    return rows, max((residual / bound for _, residual, bound in scan), default=0.0)
 
 
 def _check_residue_range(s: complex):

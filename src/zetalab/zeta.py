@@ -21,7 +21,16 @@ t = 184, 515 at t = 1e3 and 2529 at t = 4765.  Against mpmath, q = 6,
 12 and 20 all land at the phase-rounding level at 1/2 + 4750i; q sets
 only the cost (N = 7704, 2521 and 1566 there).  N and every exactly
 summed series here stay within the dirichlet module's _MAX_TERMS; N
-peaks at 1,355,208 (sigma = -1, |t| = 10^6).  The smoothed series stops
+peaks at 1,355,208 (sigma = -1, |t| = 10^6).  A and p come from arrays
+of s: the factor moduli from np.hypot (abs() of a Python complex, bit
+for bit), their logs from np.log, which differs from math.log in about
+one value in 10^4, and the log of the product from numpy's sum, not
+fsum.  The search for N then runs point by point with math.log, as
+the one-point rule did: searched on arrays it took some ten more numpy
+calls even at one point, which zeta_grid_multi pays once per chunk,
+and point by point it costs about 1.3 us a point.  N equals the
+math.log and fsum form at every scan-grid point and at 10^4 drawn
+points.  The smoothed series stops
 where its weight e^{-n/Y} reaches working precision.
 
 chi(s) = 2^s pi^(s-1) Gamma(1-s) sin(pi s / 2) is the ratio
@@ -45,15 +54,29 @@ drops out in the exponential, here and in the smoothed-sum residue of
 the report module.  chi() is the one formula: chi_grid applies it to
 each element of an array.
 
-zeta() (through _zeta_at, the value at a given N) and zeta_grid_multi
-add the same nested tail, _em_tail (below).
-Direct-sum reductions in the scalar paths are exactly rounded, bit for
-bit what math.fsum gives, by the vectorized exact sum of the dirichlet
-module (fsum itself below 512 terms), so the compensation never limits
-accuracy.  _dirichlet_sum is the one Dirichlet-polynomial kernel on
-quadrature nodes: a phase row per cell of nodes, shifted to each node by
-a Taylor polynomial.  zeta_grid_multi takes its direct sum there, and
-the moment weights of the moments module take theirs.
+Scalar zeta is evaluated a grid at a time by _zeta_points: _check_domain
+refuses the first point outside the supported region, _choose_terms
+finds every point's N, and _direct_sums takes the direct sums
+over n < N from one padded phase matrix exp(-s log n), zero past each
+row's length, reduced row by row by the dirichlet module's exact sum
+(_fsum_rows: bit for bit what math.fsum gives on each row, so the
+compensation never limits accuracy).  Rows go in order of length, in
+blocks of at most _ROW_BLOCK = 2^13 terms (128 KiB of phases, one row
+when it is longer), so no block holds more terms than the longest
+single series and padding never doubles a block.  The tail _em_tail and
+every residual then run per point on Python complex: numpy's complex *
+and / on arrays round differently from CPython's (a third to a half of
+random pairs differ in the last bit), and on arrays they moved more
+than half of the fe-check rows.  zeta(), _zeta_at (the value at a given
+N), partial_zeta_sum, afe_simple, afe_zeta_squared and
+functional_equation_residual are one-point calls of this path; the
+report scans evaluate their grids in one call, so a grid point's value
+does not depend on the batch it is in.  zeta_grid_multi calls the same
+length rule at one point and adds the same _em_tail on arrays.
+_dirichlet_sum is the one Dirichlet-polynomial kernel on quadrature
+nodes: a phase row per cell of nodes, shifted to each node by a Taylor
+polynomial.  zeta_grid_multi takes its direct sum there, and the moment
+weights of the moments module take theirs.
 """
 
 from __future__ import annotations
@@ -63,12 +86,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import fsum
 from typing import Sequence
 
 import numpy as np
 
-from .dirichlet import _MAX_TERMS, DivisorTable, _fsum_complex, _term_count
+from .dirichlet import (
+    _MAX_TERMS,
+    DivisorTable,
+    _complex_parts,
+    _fsum_complex,
+    _fsum_rows,
+    _term_count,
+)
 from .errors import DomainError, PoleError, PrecisionError
 
 LN2 = math.log(2.0)
@@ -123,39 +152,54 @@ def _correction_coeffs() -> tuple[float, ...]:
     )
 
 
+# log(|B_{2q+2}| / (2q+2)!), the constant of the remainder bound
+_LOG_BERNOULLI = math.log(
+    abs(float(bernoulli_numbers(2 * _BERNOULLI_ORDER + 2)[-1]))
+) - math.lgamma(2 * _BERNOULLI_ORDER + 3)
+_RISE = np.arange(2 * _BERNOULLI_ORDER + 2.0)  # i of the factors s + i, then the tail's slot
+_ROW_BLOCK = 1 << 13  # terms of one _direct_sums block, unless one row is longer
+
+
+def _remainder_log_terms(s: np.ndarray) -> tuple[list[float], list[float]]:
+    """A(s) and p = sigma + 2q + 1 of the remainder bound A - p log N (see
+    module docstring) at each point of a 1-D array s, sigma > -(2q+1);
+    a zero factor of s(s+1)...(s+2q) is left out of A."""
+    p = s.real + 2 * _BERNOULLI_ORDER + 1
+    moduli = s.real[:, None] + _RISE  # sigma + i for each factor s + i
+    moduli[:, -1] = p  # and the tail factor s + 2q + 1, rounded as p is
+    np.hypot(moduli, s.imag[:, None], out=moduli)  # abs(s + i), bit for bit
+    moduli[:, -1] /= p
+    logs = np.log(moduli, out=moduli, where=moduli > 0)
+    return (_LOG_BERNOULLI + logs[:, :-1].sum(axis=1) + logs[:, -1]).tolist(), p.tolist()
+
+
 def _remainder_log_bound(s: complex, n_terms: int) -> float:
-    """log of the Euler-Maclaurin remainder bound (see module docstring)."""
-    q = _BERNOULLI_ORDER
-    sigma = s.real
-    if sigma + 2 * q + 1 <= 0:
-        return math.inf
-    bern = bernoulli_numbers(2 * q + 2)
-    log_b = math.log(abs(float(bern[2 * q + 2]))) - math.lgamma(2 * q + 3)
-    log_rise = fsum(math.log(abs(s + i)) for i in range(2 * q + 1) if abs(s + i) > 0)
-    log_n = -(sigma + 2 * q + 1) * math.log(n_terms)
-    log_tail_factor = math.log(abs(s + 2 * q + 1) / (sigma + 2 * q + 1))
-    return log_b + log_rise + log_tail_factor + log_n
+    """log of the Euler-Maclaurin remainder bound at N = n_terms."""
+    (a,), (p,) = _remainder_log_terms(np.array([complex(s)]))
+    return a - p * math.log(n_terms)
 
 
-def _choose_terms(s_extreme: complex, settings: EvalSettings) -> int:
-    """The smallest N >= 2 whose remainder bound A - p log N
-    (p = sigma+2q+1) meets the target."""
+def _choose_terms(s, settings: EvalSettings):
+    """The smallest N >= 2 whose remainder bound A - p log N meets the
+    target: an int at a complex s, an int64 array at each point of an
+    array of s.  A and p come from arrays; the search runs point by
+    point, and the first point it cannot reach is refused."""
+    points = np.asarray(s, dtype=np.complex128).reshape(-1)
     log_target = math.log(settings.target_abs_error)
-    # _remainder_log_bound adds the log N term last, so a - p log n
-    # below equals _remainder_log_bound(s_extreme, n) bit for bit
-    a = _remainder_log_bound(s_extreme, 1)
-    p = s_extreme.real + 2 * _BERNOULLI_ORDER + 1
-    log_n = (a - log_target) / p
-    if not log_n < math.log(_MAX_TERMS):
-        raise PrecisionError(
-            f"cannot reach target {settings.target_abs_error:g} at s = {s_extreme}"
-        )
-    n = max(2, math.ceil(math.exp(log_n)))
-    while n > 2 and a - p * math.log(n - 1) <= log_target:
-        n -= 1
-    while a - p * math.log(n) > log_target:
-        n += 1
-    return n
+    terms = []
+    for point, a, p in zip(points.tolist(), *_remainder_log_terms(points)):
+        log_n = (a - log_target) / p
+        if not log_n < math.log(_MAX_TERMS):
+            raise PrecisionError(
+                f"cannot reach target {settings.target_abs_error:g} at s = {point}"
+            )
+        n = max(2, math.ceil(math.exp(log_n)))
+        while n > 2 and a - p * math.log(n - 1) <= log_target:
+            n -= 1
+        while a - p * math.log(n) > log_target:
+            n += 1
+        terms.append(n)
+    return np.array(terms, dtype=np.int64) if np.ndim(s) else terms[0]
 
 
 def _check_domain(s: complex):
@@ -189,10 +233,68 @@ def _em_tail(s, n: int):
     return tail
 
 
+def _direct_sums(c: np.ndarray, lengths, weights=None) -> list[complex]:
+    """sum_{n <= m_i} w_n e^{c_i log n} for each complex c_i and length
+    m_i (w_n = 1, or weights[n]), exactly rounded: bit for bit
+    _fsum_complex of the same terms.
+
+    Rows are taken in order of length and cut into blocks of at most
+    _ROW_BLOCK terms, or of one row when that row is longer, so no block
+    holds more terms than the longest series alone; a block also ends
+    before padding would double its terms.  A block is one phase matrix
+    e^{c_i log n}, zero past each row's length, summed by the dirichlet
+    module's _fsum_rows.
+    """
+    lengths = np.maximum(np.asarray(lengths, dtype=np.int64), 0)
+    order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order].tolist()
+    logk = np.log(np.arange(1, max(ordered, default=0) + 1, dtype=np.float64))
+    sums = np.empty((len(ordered), 2))
+    first = 0
+    while first < len(ordered):
+        stop, held = first + 1, ordered[first]
+        while stop < len(ordered) and (stop + 1 - first) * ordered[stop] <= min(
+            _ROW_BLOCK, 2 * (held + ordered[stop])
+        ):
+            held += ordered[stop]
+            stop += 1
+        rows, width = order[first:stop], ordered[stop - 1]
+        terms = np.exp(c[rows, None] * logk[:width])
+        if ordered[first] < width:
+            terms[np.arange(width) >= lengths[rows, None]] = 0
+        if weights is not None:
+            terms = weights[1 : width + 1] * terms
+        sums[rows] = _fsum_rows(_complex_parts(terms))
+        first = stop
+    return sums.view(np.complex128)[:, 0].tolist()
+
+
+def _zeta_values(s: np.ndarray, n: np.ndarray) -> list[complex]:
+    """zeta at each point s_i at Euler-Maclaurin length N = n_i: the
+    exactly rounded direct sum over n' < n_i plus _em_tail, which runs
+    per point on Python complex (see the module docstring)."""
+    direct = _direct_sums(-s, n - 1)
+    return [complex(d + _em_tail(x, m)) for d, x, m in zip(direct, s.tolist(), n.tolist())]
+
+
+def _zeta_points(points, settings: EvalSettings = DEFAULT_SETTINGS) -> list[complex]:
+    """zeta() at each of a sequence of points, as one array evaluation:
+    _check_domain runs point by point, then _choose_terms and the
+    non-finite check refuse the first point that fails them."""
+    s = np.asarray(points, dtype=np.complex128).reshape(-1)
+    for point in s.tolist():
+        _check_domain(point)
+    values = _zeta_values(s, _choose_terms(s, settings))
+    finite = np.isfinite(np.array(values, dtype=np.complex128))
+    if not finite.all():
+        point = complex(s[np.argmin(finite)])
+        raise PrecisionError(f"non-finite zeta value at s = {point}")
+    return values
+
+
 def _zeta_at(s: complex, n: int) -> complex:
-    """zeta(s) at Euler-Maclaurin length N = n: the exactly rounded direct
-    sum over n' < n plus _em_tail."""
-    return complex(partial_zeta_sum(s, n - 1) + _em_tail(s, n))
+    """zeta(s) at Euler-Maclaurin length N = n."""
+    return _zeta_values(np.array([complex(s)]), np.array([n]))[0]
 
 
 def zeta(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
@@ -201,12 +303,7 @@ def zeta(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
     Raises PoleError at s = 1, DomainError outside the supported region,
     PrecisionError when the target cannot be reached.
     """
-    s = complex(s)
-    _check_domain(s)
-    value = _zeta_at(s, _choose_terms(s, settings))
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise PrecisionError(f"non-finite zeta value at s = {s}")
-    return value
+    return _zeta_points([complex(s)], settings)[0]
 
 
 def _dirichlet_sum(coeffs: np.ndarray, ts: np.ndarray, log_len: float) -> np.ndarray:
@@ -387,6 +484,19 @@ def chi_grid(s_values) -> np.ndarray:
     return np.vectorize(chi, otypes=[np.complex128])(s_values)
 
 
+def _fe_residuals(
+    points: Sequence[complex], settings: EvalSettings = DEFAULT_SETTINGS
+) -> tuple[list[complex], list[float]]:
+    """zeta(s) and |zeta(s) - chi(s) zeta(1-s)| at each point s: the zeta
+    values of all s, then the chi factors, then the zeta values of all
+    1 - s, each one array evaluation."""
+    points = [complex(s) for s in points]
+    values = _zeta_points(points, settings)
+    factors = [chi(s) for s in points]
+    reflected = _zeta_points([1 - s for s in points], settings)
+    return values, [abs(z - f * z1) for z, f, z1 in zip(values, factors, reflected)]
+
+
 def functional_equation_residual(
     s: complex, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> float:
@@ -394,14 +504,31 @@ def functional_equation_residual(
     s = complex(s)
     if s == 0 or s == 1:
         raise PoleError("functional-equation residual undefined at s = 0, 1")
-    return abs(zeta(s, settings) - chi(s) * zeta(1 - s, settings))
+    return _fe_residuals([s], settings)[1][0]
 
 
 def partial_zeta_sum(s: complex, cutoff: float) -> complex:
     """sum_{n <= cutoff} n^{-s}, exactly-rounded reduction."""
     m = _term_count(cutoff, "cutoff")
-    logk = np.log(np.arange(1, m + 1, dtype=np.float64))
-    return _fsum_complex(np.exp(-complex(s) * logk))
+    return _direct_sums(np.array([-complex(s)]), [m])[0]
+
+
+def _afe_points(
+    points: Sequence[complex], cutoffs: Sequence[float], settings: EvalSettings
+) -> list[tuple[complex, float]]:
+    """afe_simple at each (s, cutoff), as one array evaluation; a point's
+    checks run in afe_simple's order, point by point."""
+    points = [complex(s) for s in points]
+    lengths = []
+    for s, cutoff in zip(points, cutoffs):
+        if s.real < 0.5:
+            raise DomainError(f"sigma must be >= 1/2 for the truncated series, got {s.real}")
+        if not 0 <= cutoff < math.inf:
+            raise DomainError(f"cutoff must be finite and >= 0, got {cutoff}")
+        lengths.append(_term_count(cutoff, "cutoff"))
+    values = _direct_sums(-np.array(points), lengths)
+    zetas = _zeta_points(points, settings)
+    return [(value, abs(value - z)) for value, z in zip(values, zetas)]
 
 
 def afe_simple(
@@ -413,14 +540,7 @@ def afe_simple(
     the constant is checked at scan level, not here.  Returns
     (value, |value - zeta(s)|).
     """
-    s = complex(s)
-    if s.real < 0.5:
-        raise DomainError(f"sigma must be >= 1/2 for the truncated series, got {s.real}")
-    if not 0 <= cutoff < math.inf:
-        raise DomainError(f"cutoff must be finite and >= 0, got {cutoff}")
-    value = partial_zeta_sum(s, cutoff)
-    residual = abs(value - zeta(s, settings))
-    return value, residual
+    return _afe_points([s], [cutoff], settings)[0]
 
 
 def default_smoothing_truncation(t: float) -> float:
@@ -461,6 +581,34 @@ def _check_two_sum_domain(s: complex, x: float):
         raise DomainError(f"x must lie in [t/(2 pi), t^2] = [{t_over_2pi:g}, {t * t:g}]")
 
 
+def _afe2_points(
+    points: Sequence[complex],
+    xs: Sequence[float],
+    table: DivisorTable,
+    settings: EvalSettings,
+) -> list[tuple[complex, float, float]]:
+    """afe_zeta_squared at each (s, x), as one array evaluation; a point's
+    checks run in afe_zeta_squared's order, point by point."""
+    points = [complex(s) for s in points]
+    nx, ny = [], []
+    for s, x in zip(points, xs):
+        _check_two_sum_domain(s, x)
+        y = (s.imag / (2 * math.pi)) ** 2 / x
+        nx.append(int(math.floor(x)))
+        ny.append(int(math.floor(y)))  # ny <= nx, as y <= x
+        table.require(max(nx[-1], 1))
+    s = np.array(points)
+    first = _direct_sums(-s, nx, table.d)
+    second = _direct_sums(s - 1, ny, table.d)
+    zetas = _zeta_points(points, settings)
+    results = []
+    for point, x, a, b, z in zip(points, xs, first, second, zetas):
+        value = a + chi(point) ** 2 * b
+        bound = x ** (0.5 - point.real) * math.log(point.imag)
+        results.append((value, abs(value - z**2), bound))
+    return results
+
+
 def afe_zeta_squared(
     s: complex,
     x: float,
@@ -481,16 +629,4 @@ def afe_zeta_squared(
     residual/bound ratio is judged at scan level against a configured
     constant, since the true O-constant is not explicit.
     """
-    s = complex(s)
-    _check_two_sum_domain(s, x)
-    sigma, t = s.real, s.imag
-    y = (t / (2 * math.pi)) ** 2 / x
-    nx, ny = int(math.floor(x)), int(math.floor(y))
-    table.require(max(nx, 1))
-    logk = np.log(np.arange(1, nx + 1, dtype=np.float64))  # ny <= nx, as y <= x
-    first = _fsum_complex(table.d[1 : nx + 1] * np.exp(-s * logk))
-    second = _fsum_complex(table.d[1 : ny + 1] * np.exp((s - 1) * logk[:ny]))
-    value = first + chi(s) ** 2 * second
-    residual = abs(value - zeta(s, settings) ** 2)
-    bound = x ** (0.5 - sigma) * math.log(t)
-    return value, residual, bound
+    return _afe2_points([s], [x], table, settings)[0]

@@ -15,7 +15,12 @@ from zetalab.cli import main
 from zetalab.config import ENV_VAR
 from zetalab.dirichlet import _MAX_TERMS
 from zetalab.report import MOMENT_CSV_HEADER, PAIR_CSV_HEADER, ZETA_CSV_HEADER
-from zetalab.zeta import DEFAULT_SETTINGS, smoothed_sum
+from zetalab.zeta import DEFAULT_SETTINGS, _fe_residuals, chi, smoothed_sum, zeta
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
 
 HELP_TARGETS = [
     [],
@@ -310,6 +315,36 @@ class TestHarnessParity:
         sigma, t, x = report.afe2_grid()[index]
         argv = ["zeta", "afe2", "--sigma", repr(sigma), "--t", repr(t), "--x", repr(x)]
         assert self._row(capsys, argv) == ",".join(rows[index])
+
+    @pytest.mark.parametrize("grid", ["coarse", "fine"])
+    def test_fe_check_is_zeta_at_every_point(self, grid):
+        # the grid is one array evaluation; each row holds zeta() at its
+        # point, bit for bit, and the one-point residual
+        points = report.fe_check_grid(grid)
+        rows, worst = report.fe_check_rows(grid, DEFAULT_SETTINGS)
+        values, residuals = _fe_residuals(points, DEFAULT_SETTINGS)
+        assert len(rows) == len(values) == len(points)
+        for s, row, value, residual in zip(points, rows, values, residuals):
+            expected = zeta(s)
+            assert _bits(value) == _bits(expected), s
+            assert residual == abs(expected - chi(s) * zeta(1 - s)), s
+            assert row == report.zeta_row(s.real, s.imag, None, expected, residual, 1e-8)
+        assert worst == max(residuals)
+
+    def test_afe_scan_is_afe_row_at_every_point(self):
+        rows, _ = report.afe_scan_rows(DEFAULT_SETTINGS)
+        grid = report.afe_grid()
+        assert len(rows) == len(grid) == 42
+        for (sigma, t, cutoff), row in zip(grid, rows):
+            assert report.afe_row(sigma, t, cutoff, DEFAULT_SETTINGS)[0] == row
+
+    def test_afe2_scan_is_afe2_row_at_every_point(self):
+        rows, _ = report.afe2_scan_rows(DEFAULT_SETTINGS)
+        grid = report.afe2_grid()
+        table = dirichlet.DivisorTable(int(max(x for _, _, x in grid)) + 1)
+        assert len(rows) == len(grid) == 50
+        for (sigma, t, x), row in zip(grid, rows):
+            assert report.afe2_row(sigma, t, x, table, DEFAULT_SETTINGS)[0] == row
 
     def test_smooth_point_matches_scan(self, capsys):
         rows, _ = report.smooth_scan_rows(DEFAULT_SETTINGS)

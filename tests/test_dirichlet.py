@@ -18,8 +18,10 @@ from zetalab import dirichlet
 from zetalab.dirichlet import (
     _BLOCK,
     _EXACT_MIN,
+    _complex_parts,
     _compensated_cumsum,
     _fsum_complex,
+    _fsum_rows,
     _phase_row,
 )
 
@@ -398,3 +400,39 @@ class TestPhaseRowCache:
             assert not view.flags.writeable
             with pytest.raises(ValueError):
                 view[0] = 0
+
+
+def _mixed_rows(k: int, seed: int) -> np.ndarray:
+    """Complex rows of length k, each of a different kind: wide exponents,
+    zero padding, zero totals of either sign, cancellation, subnormals,
+    and the non-finite and huge parts that go to fsum."""
+    rng = np.random.default_rng(seed)
+    wide = rng.uniform(-1, 1, k) * 10.0 ** rng.uniform(-300, 300, k)
+    padded = np.where(np.arange(k) < k // 3, rng.uniform(0.5, 1.0, k), 0.0)
+    big = rng.uniform(-1, 1, k // 2) * 1e40
+    cancel = np.resize(np.concatenate([big, [3e-7], -big[::-1]]), k)
+    tiny = rng.integers(-(2**52), 2**52, k) * 5e-324
+    special = rng.uniform(-1, 1, (3, k))
+    special[0, k // 2] = math.nan
+    special[1, 1] = -math.inf
+    special[2, [0, -1]] = 2.0**950, -(2.0**950)
+    z = np.empty((9, k), dtype=np.complex128)
+    z.real = np.vstack([wide, padded, np.zeros(k), -np.zeros(k), cancel, tiny, special])
+    z.imag = np.roll(z.real, 1, axis=0)
+    return z
+
+
+class TestExactRowSums:
+    """_fsum_rows sums each row as fsum does, whatever the other rows hold."""
+
+    @pytest.mark.parametrize("k", [3, 20, _EXACT_MIN + 1, 3000])
+    def test_each_row_is_fsum_of_the_row(self, k):
+        z = _mixed_rows(k, seed=k)
+        got = _fsum_rows(_complex_parts(z))
+        assert [repr(complex(re, im)) for re, im in got] == [_fsum_reference(row) for row in z]
+
+    def test_a_row_does_not_depend_on_its_neighbours(self):
+        z = _mixed_rows(1000, seed=3)
+        alone = [_fsum_rows(_complex_parts(row[None]))[0].tobytes() for row in z]
+        together = _fsum_rows(_complex_parts(z))
+        assert [row.tobytes() for row in together] == alone

@@ -22,11 +22,13 @@ from zetalab import (
     PoleError,
     PrecisionError,
     ResourceLimitError,
+    ZetalabError,
     afe_simple,
     afe_zeta_squared,
     chi,
     chi_grid,
     functional_equation_residual,
+    report,
     smoothed_sum,
     zeta,
     zeta_grid_multi,
@@ -39,6 +41,8 @@ from zetalab.zeta import (
     _log_gamma,
     _remainder_log_bound,
     _zeta_at,
+    _zeta_points,
+    _zeta_values,
     bernoulli_numbers,
     default_smoothing_truncation,
     partial_zeta_sum,
@@ -242,11 +246,15 @@ def _grid_terms(ts: np.ndarray) -> int:
     return _choose_terms(complex(min(GRID_SIGMAS), np.max(np.abs(ts))), DEFAULT_SETTINGS)
 
 
-def _assert_phase_level(got: complex, ref: complex, t: float, n: int):
-    """|got - ref| <= 4 eps |t| log N max(|ref|, 1): the rounding of the
-    phases t log n, which bounds both the grid and the scalar engine."""
-    tol = 4 * np.finfo(float).eps * abs(t) * math.log(n) * max(abs(ref), 1.0)
-    assert abs(got - ref) <= tol, (t, got, ref, tol)
+def _assert_phase_level(got: complex, ref: complex, s: complex, n: int):
+    """|got - ref| <= 4 eps |t| log N max(|ref|, 1, N^(1/2-sigma)): the
+    rounding of the phases t log n, which bounds both the grid and the
+    scalar engine.  N^(1/2-sigma), the random-walk size of the direct
+    terms, is the scale of _assert_oracle_level; it is at most 1 for
+    sigma >= 1/2."""
+    scale = max(abs(ref), 1.0, n ** (0.5 - s.real))
+    tol = 4 * np.finfo(float).eps * abs(s.imag) * math.log(n) * scale
+    assert abs(got - ref) <= tol, (s, got, ref, tol)
 
 
 def _assert_grid_matches_scalar(ts: np.ndarray):
@@ -254,7 +262,7 @@ def _assert_grid_matches_scalar(ts: np.ndarray):
     n = _grid_terms(ts)
     for row, sig in enumerate(GRID_SIGMAS):
         for t, got in zip(ts, grid[row]):
-            _assert_phase_level(got, zeta(complex(sig, t)), t, n)
+            _assert_phase_level(got, zeta(complex(sig, t)), complex(sig, t), n)
 
 
 class TestGridTaylorShift:
@@ -270,7 +278,7 @@ class TestGridTaylorShift:
             for row, sig in enumerate(GRID_SIGMAS):
                 for i in picks:
                     ref = complex(mpmath.zeta(mpmath.mpc(sig, nodes[i])))
-                    _assert_phase_level(grid[row, i], ref, nodes[i], n)
+                    _assert_phase_level(grid[row, i], ref, complex(sig, nodes[i]), n)
 
     @pytest.mark.parametrize("t0", [100.0, 1000.0, 4750.0, 9990.0])
     def test_panel_nodes_against_scalar(self, t0):
@@ -308,6 +316,105 @@ class TestGridTaylorShift:
         _assert_grid_matches_scalar(
             np.concatenate([-_panel_nodes(1000.0), -_panel_nodes(100.0), _panel_nodes(100.0)])
         )
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _scalar_terms(s: complex, target: float = 1e-13) -> int:
+    """The length rule one point at a time, with math.log and fsum: the
+    formula _choose_terms evaluates on arrays, kept here as the oracle."""
+    q = 12
+    sigma, p = s.real, s.real + 2 * q + 1
+    log_b = math.log(abs(float(bernoulli_numbers(2 * q + 2)[2 * q + 2]))) - math.lgamma(2 * q + 3)
+    log_rise = math.fsum(math.log(abs(s + i)) for i in range(2 * q + 1) if abs(s + i) > 0)
+    a = log_b + log_rise + math.log(abs(s + 2 * q + 1) / (sigma + 2 * q + 1))
+    log_target = math.log(target)
+    n = max(2, math.ceil(math.exp((a - log_target) / p)))
+    while n > 2 and a - p * math.log(n - 1) <= log_target:
+        n -= 1
+    while a - p * math.log(n) > log_target:
+        n += 1
+    return n
+
+
+def _drawn_points(count: int, t_max_exp: float, seed: int) -> list[complex]:
+    """sigma uniform in [-1, 2], |t| log-uniform up to 10^t_max_exp, both signs."""
+    rng = np.random.default_rng(seed)
+    sigma = rng.uniform(-1.0, 2.0, count)
+    t = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-2.0, t_max_exp, count)
+    return [complex(a, b) for a, b in zip(sigma, t) if abs(complex(a, b) - 1) >= 0.1]
+
+
+class TestArrayRule:
+    """The length rule on arrays gives the one-point formula's N, and a
+    batch refuses what zeta() refuses at its offending point."""
+
+    def test_scan_grids(self):
+        fe = report.fe_check_grid("fine") + report.fe_check_grid("coarse")
+        points = fe + [1 - s for s in fe]
+        points += [complex(sigma, t) for sigma, t, _ in report.afe_grid()]
+        points += [complex(sigma, t) for sigma, t, _ in report.afe2_grid()]
+        got = _choose_terms(np.array(points), DEFAULT_SETTINGS).tolist()
+        assert got == [_scalar_terms(s) for s in points]
+        assert got == [_choose_terms(s, DEFAULT_SETTINGS) for s in points]  # alone
+
+    def test_drawn_points(self):
+        points = _drawn_points(10_000, 6.0, seed=17)
+        got = _choose_terms(np.array(points), DEFAULT_SETTINGS)
+        assert got.tolist() == [_scalar_terms(s) for s in points]
+
+    def test_one_point_is_an_int(self):
+        n = _choose_terms(0.5 + 14j, DEFAULT_SETTINGS)
+        assert type(n) is int and n == _scalar_terms(0.5 + 14j)
+
+    @pytest.mark.parametrize(
+        "bad, target",
+        [
+            (complex(math.nan, 1.0), 1e-13),
+            (complex(1.0, 0.0), 1e-13),
+            (complex(0.5, -2e6), 1e-13),
+            (complex(-1.5, 3.0), 1e-13),
+            (complex(-1.0, 1e6), 1e-25),  # unreachable there, reachable at the others
+        ],
+    )
+    def test_batch_refuses_as_zeta_does(self, bad, target):
+        settings = EvalSettings(target_abs_error=target)
+        with pytest.raises(ZetalabError) as scalar:
+            zeta(bad, settings)
+        batch = [complex(0.5, 10.0), complex(2.0, 0.0), bad, complex(0.75, -50.0)]
+        with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+            _zeta_points(batch, settings)
+
+
+class TestZetaPoints:
+    """_zeta_points, the array evaluator behind zeta() and the scans."""
+
+    def test_alone_and_in_a_mixed_batch_bit_identical(self):
+        points = _drawn_points(48, 4.0, seed=5)
+        lengths = _choose_terms(np.array(points), DEFAULT_SETTINGS)
+        assert lengths.min() < 10 and lengths.max() > 1000
+        batch = [_bits(z) for z in _zeta_points(points)]
+        assert batch == [_bits(zeta(s)) for s in points]
+        assert [_bits(z) for z in _zeta_points(points[::-1])] == batch[::-1]
+
+    def test_given_lengths_alone_and_in_a_batch_bit_identical(self):
+        points = _drawn_points(12, 4.0, seed=6)
+        lengths = [2, 3, 5, 9, 17, 64, 100, 257, 999, 1000, 2048, 4000][: len(points)]
+        batch = _zeta_values(np.array(points), np.array(lengths))
+        assert [_bits(z) for z in batch] == [_bits(_zeta_at(s, n)) for s, n in zip(points, lengths)]
+
+    @pytest.mark.parametrize("t0", [100.0, 1000.0])
+    def test_below_half_against_mpmath(self, t0):
+        nodes = _panel_nodes(t0)
+        ts = nodes[np.linspace(0, nodes.size - 1, 3).astype(int)]
+        points = [complex(sigma, t) for sigma in (-1.0, 0.0, 0.25) for t in ts]
+        lengths = _choose_terms(np.array(points), DEFAULT_SETTINGS).tolist()
+        with mpmath.workdps(30):
+            for s, got, n in zip(points, _zeta_points(points), lengths):
+                ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+                _assert_phase_level(got, ref, s, n)
 
 
 def _log_gamma_error(z: complex) -> float:
