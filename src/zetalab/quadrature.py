@@ -54,12 +54,25 @@ to spare.  |zeta(1/2+it)|^2 is real-analytic in t (it is the product of
 two analytic factors, not a bare absolute value), so both rules
 converge spectrally per panel.
 
-Determinism under threading: the panel partition is a pure function of
-(t_min, t_max, scale); panels are processed in fixed-size chunks whose
-boundaries never depend on the thread count; every chunk writes its
-panel values and errors into preallocated slots by index; the final
-reductions are math.fsum over panels in ascending panel order.  Serial
-and parallel runs therefore produce bit-identical values and errors.
+Pieces: integrate_pieces takes break points b_0 < ... < b_k and
+integrates every piece [b_{i-1}, b_i] in one pass, as QUADPACK's qagp
+does over user-given break points; integrate is its one-piece call.
+Each piece keeps its own greedy partition, so it has exactly the
+panels it would have alone, but the pieces' panels are concatenated in
+ascending t and evaluated in the same fixed chunks, so one integrand
+call can span pieces.  That saves the integrand's fixed cost per call
+(for the moment integrands: the length rule, the cell set-up and the
+Euler-Maclaurin tail) once per piece.  An integrand that depends on its
+whole batch, as the zeta kernel does through N and its Taylor cells,
+may give a piece different last bits than a separate integral would.
+
+Determinism under threading: each piece's partition is a pure function
+of (b_{i-1}, b_i, scale); the concatenated panels are processed in
+fixed-size chunks whose boundaries never depend on the thread count;
+every chunk writes its panel values and errors into preallocated slots
+by index; each piece's reductions are math.fsum over its own panels in
+ascending panel order.  Serial and parallel runs therefore produce
+bit-identical values and errors.
 """
 
 from __future__ import annotations
@@ -68,7 +81,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from math import fsum
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -171,20 +184,47 @@ def integrate(
     settings: QuadratureSettings = QuadratureSettings(),
 ) -> tuple[float, int, float]:
     """integral of f over [t_min, t_max]; returns (value, panel count,
-    error estimate).
+    error estimate): the one-piece call of integrate_pieces."""
+    return integrate_pieces(f, (t_min, t_max), settings)[0]
 
-    The value is the fsum of the per-panel Kronrod sums, the error
-    estimate the fsum of the per-panel |Kronrod - Gauss|, both in panel
-    order.  f maps an array of nodes to an array of values and must be
-    pure; it is called once per fixed-size panel chunk, possibly from
-    worker threads.
+
+def _fsum(xs: np.ndarray) -> float:
+    """fsum in index order; a sum past the float range reads as the plain
+    float sum does (+-inf), where fsum would raise."""
+    xs = xs.tolist()
+    try:
+        return fsum(xs)
+    except OverflowError:
+        return sum(xs)
+
+
+def integrate_pieces(
+    f: Callable[[np.ndarray], np.ndarray],
+    breaks: Sequence[float],
+    settings: QuadratureSettings = QuadratureSettings(),
+) -> list[tuple[float, int, float]]:
+    """integral of f over each piece [b_{i-1}, b_i] of the break points
+    b_0 < ... < b_k; returns (value, panel count, error estimate) per
+    piece, QUADPACK's qagp in one pass.
+
+    Each piece has its own panel_edges partition, and a piece that is
+    empty or has a NaN end has no panels and reads (0.0, 0, 0.0).  A
+    piece's value is the fsum of its panels' Kronrod sums, its error
+    estimate the fsum of their |Kronrod - Gauss|, both in panel order.
+    f maps an array of nodes to an array of values and must be pure; it
+    is called once per fixed-size chunk of the pieces' panels, in
+    ascending t, possibly from worker threads.
     """
-    if not t_max > t_min:  # empty, or a NaN bound
-        return 0.0, 0, 0.0
-    edges = panel_edges(t_min, t_max, settings.width_scale)
-    n_panels = edges.size - 1
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
+    parts = [  # edges per piece; one edge is a piece without panels
+        panel_edges(lo, hi, settings.width_scale) if hi > lo else np.zeros(1)
+        for lo, hi in zip(breaks, breaks[1:])
+    ]
+    bounds = np.cumsum([0] + [e.size - 1 for e in parts]).tolist()
+    n_panels = bounds[-1]
+    lefts = np.concatenate([e[:-1] for e in parts])
+    rights = np.concatenate([e[1:] for e in parts])
+    mids = 0.5 * (lefts + rights)
+    halves = 0.5 * (rights - lefts)
     panel_values = np.empty(n_panels, dtype=np.float64)
     panel_errors = np.empty(n_panels, dtype=np.float64)
 
@@ -208,4 +248,7 @@ def integrate(
     else:
         with ThreadPoolExecutor(max_workers=settings.threads) as pool:
             list(pool.map(run_chunk, starts))
-    return fsum(panel_values.tolist()), n_panels, fsum(panel_errors.tolist())
+    return [
+        (_fsum(panel_values[a:b]), b - a, _fsum(panel_errors[a:b]))
+        for a, b in zip(bounds, bounds[1:])
+    ]

@@ -157,26 +157,29 @@ _LOG_BERNOULLI = math.log(
     abs(float(bernoulli_numbers(2 * _BERNOULLI_ORDER + 2)[-1]))
 ) - math.lgamma(2 * _BERNOULLI_ORDER + 3)
 _RISE = np.arange(2 * _BERNOULLI_ORDER + 2.0)  # i of the factors s + i, then the tail's slot
+_LOG_MAX_TERMS = math.log(_MAX_TERMS)
 _ROW_BLOCK = 1 << 13  # terms of one _direct_sums block, unless one row is longer
 
 
-def _remainder_log_terms(s: np.ndarray) -> tuple[list[float], list[float]]:
-    """A(s) and p = sigma + 2q + 1 of the remainder bound A - p log N (see
-    module docstring) at each point of a 1-D array s, sigma > -(2q+1);
-    a zero factor of s(s+1)...(s+2q) is left out of A."""
+def _remainder_log_terms(s: np.ndarray) -> tuple[list[float], list[float], list[float]]:
+    """At each point of a 1-D array s, sigma > -(2q+1): the sum of
+    log|s + i| over i = 0..2q, a zero factor left out, log(|s + 2q + 1| / p)
+    and p = sigma + 2q + 1, so that A = _LOG_BERNOULLI + sum + tail in the
+    remainder bound A - p log N (see module docstring).  Seven numpy
+    calls, whatever the length of s."""
     p = s.real + 2 * _BERNOULLI_ORDER + 1
-    moduli = s.real[:, None] + _RISE  # sigma + i for each factor s + i
-    moduli[:, -1] = p  # and the tail factor s + 2q + 1, rounded as p is
-    np.hypot(moduli, s.imag[:, None], out=moduli)  # abs(s + i), bit for bit
+    # abs(s + i), bit for bit; sigma + (2q + 1) in the last column rounds
+    # as p does, so it holds |s + 2q + 1|
+    moduli = np.hypot(s.real[:, None] + _RISE, s.imag[:, None])
     moduli[:, -1] /= p
     logs = np.log(moduli, out=moduli, where=moduli > 0)
-    return (_LOG_BERNOULLI + logs[:, :-1].sum(axis=1) + logs[:, -1]).tolist(), p.tolist()
+    return logs[:, :-1].sum(axis=1).tolist(), logs[:, -1].tolist(), p.tolist()
 
 
 def _remainder_log_bound(s: complex, n_terms: int) -> float:
     """log of the Euler-Maclaurin remainder bound at N = n_terms."""
-    (a,), (p,) = _remainder_log_terms(np.array([complex(s)]))
-    return a - p * math.log(n_terms)
+    (rise,), (tail,), (p,) = _remainder_log_terms(np.array([complex(s)]))
+    return _LOG_BERNOULLI + rise + tail - p * math.log(n_terms)
 
 
 def _choose_terms(s, settings: EvalSettings):
@@ -184,12 +187,14 @@ def _choose_terms(s, settings: EvalSettings):
     target: an int at a complex s, an int64 array at each point of an
     array of s.  A and p come from arrays; the search runs point by
     point, and the first point it cannot reach is refused."""
-    points = np.asarray(s, dtype=np.complex128).reshape(-1)
+    given = np.asarray(s, dtype=np.complex128)
+    points = given.reshape(-1)
     log_target = math.log(settings.target_abs_error)
     terms = []
-    for point, a, p in zip(points.tolist(), *_remainder_log_terms(points)):
+    for point, rise, tail, p in zip(points.tolist(), *_remainder_log_terms(points)):
+        a = _LOG_BERNOULLI + rise + tail
         log_n = (a - log_target) / p
-        if not log_n < math.log(_MAX_TERMS):
+        if not log_n < _LOG_MAX_TERMS:
             raise PrecisionError(
                 f"cannot reach target {settings.target_abs_error:g} at s = {point}"
             )
@@ -199,7 +204,7 @@ def _choose_terms(s, settings: EvalSettings):
         while a - p * math.log(n) > log_target:
             n += 1
         terms.append(n)
-    return np.array(terms, dtype=np.int64) if np.ndim(s) else terms[0]
+    return np.array(terms, dtype=np.int64) if given.ndim else terms[0]
 
 
 def _check_domain(s: complex):

@@ -1,7 +1,12 @@
 """Weighted moment integrals, growth fits, and the split/comparator probes."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,8 +121,8 @@ class TestIntegrateMoment:
         panels, rule, kernel and tail against a constant none of them
         knows; the O(T^{-1/4}) remainder sets the loose pin (3.132 read)."""
         big_t = 1000.0
-        res = moments._moment(
-            [(0.5, 2)], 0.0, big_t, QuadratureSettings(), DEFAULT_SETTINGS,
+        (res,) = moments._moment(
+            [(0.5, 2)], (0.0, big_t), QuadratureSettings(), DEFAULT_SETTINGS,
             weight=lambda ts: big_t - ts,
         )
         closed = (
@@ -141,7 +146,7 @@ class TestIntegrateMoment:
         # panels of 1e307 each overflow fsum, which raised OverflowError
         with pytest.raises(PrecisionError, match=r"moment on rows \(\(0.5, 0\),\)"):
             moments._moment(
-                [(0.5, 0)], 0.0, 100.0, QuadratureSettings(), DEFAULT_SETTINGS,
+                [(0.5, 0)], (0.0, 100.0), QuadratureSettings(), DEFAULT_SETTINGS,
                 weight=lambda ts: np.full_like(ts, level),
             )
 
@@ -202,16 +207,83 @@ class TestOnePassEstimate:
         assert 1 / 1.25 <= wide.error_estimate / half.error_estimate <= 1.25
 
     def test_scan_sums_pieces(self):
+        # the samples are the running fsum of one _moment pass over the
+        # T-list; its chunks span pieces, so a piece may differ from its
+        # separate integral at the rounding level, within that estimate
         t_list = [16.0, 32.0, 64.0, 128.0]
         fit = dyadic_scan(0.75, 1, t_list)
-        pieces = []
-        for lo, hi, (big_t, sample) in zip([0.0] + t_list, t_list, fit.samples):
-            piece = integrate_moment(MomentSpec(0.75, 1, lo, hi))
-            pieces.append(piece)
-            assert big_t == hi
-            assert sample == math.fsum(p.value for p in pieces)
-            whole = integrate_moment(MomentSpec(0.75, 1, 0.0, hi))
+        breaks = [0.0] + t_list
+        pieces = moments._moment(
+            [(0.5, 4), (0.75, 2)], breaks, QuadratureSettings(), DEFAULT_SETTINGS
+        )
+        for k, (big_t, sample) in enumerate(fit.samples):
+            assert big_t == breaks[k + 1]
+            assert sample == math.fsum(p.value for p in pieces[: k + 1])
+            alone = integrate_moment(MomentSpec(0.75, 1, breaks[k], big_t))
+            assert abs(pieces[k].value - alone.value) <= alone.error_estimate
+            whole = integrate_moment(MomentSpec(0.75, 1, 0.0, big_t))
             assert abs(sample - whole.value) <= whole.error_estimate
+
+
+class TestOnePassScan:
+    T_LIST = [64.0, 128.0, 256.0, 512.0]  # 678 panels: three 256-panel chunks
+
+    def test_threads_bit_identical(self):
+        fits = [
+            dyadic_scan(0.75, 1, self.T_LIST, QuadratureSettings(threads=n))
+            for n in (1, 2, 4)
+        ]
+        pieces = moments._moment(
+            [(0.5, 4), (0.75, 2)], [0.0] + self.T_LIST, QuadratureSettings(), DEFAULT_SETTINGS
+        )
+        assert sum(p.panel_count for p in pieces) == 678 > 2 * quadrature._CHUNK
+        for fit in fits[1:]:
+            assert fit.samples == fits[0].samples
+            assert fit.exponent == fits[0].exponent
+
+    def test_pieces_have_their_own_panels(self):
+        breaks = [0.0] + self.T_LIST
+        pieces = moments._moment(
+            [(0.5, 4), (0.75, 2)], breaks, QuadratureSettings(), DEFAULT_SETTINGS
+        )
+        for lo, hi, piece in zip(breaks, breaks[1:], pieces):
+            alone = integrate_moment(MomentSpec(0.75, 1, lo, hi))
+            assert piece.panel_count == alone.panel_count
+            assert abs(piece.value - alone.value) <= alone.error_estimate
+
+    def test_j0_bit_identical_across_sigma(self):
+        fits = [dyadic_scan(sigma, 0, [22.0, 44.0, 88.0, 176.0]) for sigma in (0.5, 0.6, 0.9)]
+        for fit in fits[1:]:
+            assert fit.samples == fits[0].samples
+            assert fit.exponent == fits[0].exponent
+
+    def test_panel_free_piece_keeps_the_order_of_the_rest(self):
+        # a piece narrower than 1e-12 has no panels but is not empty: it
+        # reads 0 with the floor estimate, as integrate_moment gives it
+        breaks = [0.0, 1e-13, 30.0, 60.0]
+        pieces = moments._moment(
+            [(0.5, 4), (0.75, 2)], breaks, QuadratureSettings(), DEFAULT_SETTINGS
+        )
+        for lo, hi, piece in zip(breaks, breaks[1:], pieces):
+            alone = integrate_moment(MomentSpec(0.75, 1, lo, hi))
+            assert piece.panel_count == alone.panel_count
+            assert piece.error_estimate == pytest.approx(alone.error_estimate, rel=1e-3)
+        assert pieces[0] == MomentResult(0.0, 1e-12, 0)
+
+    @pytest.mark.parametrize(
+        "sigma, t_list, error",
+        [
+            (0.75, [64.0, 128.0, 2.0e4], ResourceLimitError),
+            (1.5, [64.0, 128.0, 2.0e4], DomainError),  # the spec before the height
+            (0.75, [64.0, math.nan, 128.0], DomainError),
+            (0.75, [64.0, 2.0e4, math.nan], ResourceLimitError),  # pieces in order
+            (0.75, [64.0, 32.0, 2.0e4], DomainError),  # ascending first
+        ],
+    )
+    def test_refuses_before_any_work(self, sigma, t_list, error, monkeypatch):
+        monkeypatch.setattr(moments, "zeta_grid_multi", _no_kernel)
+        with pytest.raises(error):
+            dyadic_scan(sigma, 1, t_list)
 
 
 def test_dirichlet_sum_matches_dense_phase_matrix():
@@ -271,6 +343,62 @@ class TestGrowthFit:
             dyadic_scan(0.9, 1, [64.0, 32.0, 128.0])
         with pytest.raises(DomainError):
             dyadic_scan(0.9, 1, [64.0, 128.0])
+
+    def test_equal_t_is_degenerate(self):
+        with pytest.raises(DegenerateFitError):
+            fit_growth([(2.0, 1.0), (2.0, 2.0), (2.0, 3.0)])
+
+    def test_matches_exact_fit(self):
+        # the least-squares line of the same float logs in exact rationals
+        samples = SCAN_SAMPLES + [(1000.0, 2.5e5)]
+        fit = fit_growth(samples)
+        xs = [Fraction(math.log(t)) for t, _ in samples]
+        ys = [Fraction(math.log(v)) for _, v in samples]
+        x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+        slope = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sum(
+            (x - x_bar) ** 2 for x in xs
+        )
+        intercept = y_bar - slope * x_bar
+        assert abs(fit.exponent - float(slope)) <= 1e-15 * abs(float(slope))
+        # the intercept y_bar - slope x_bar cancels (-0.012 from terms near
+        # 8.5 here), so its error is relative to those terms
+        scale = abs(float(y_bar)) + abs(float(slope * x_bar))
+        assert abs(fit.intercept - float(intercept)) <= 1e-15 * scale
+
+    def test_bytes_independent_of_blas(self):
+        # np.polyfit's bytes moved with the OpenBLAS kernel and thread count;
+        # the closed-form fit calls no BLAS routine
+        code = (
+            "from zetalab.moments import fit_growth; "
+            f"fit = fit_growth({SCAN_SAMPLES!r}); "
+            "print(repr(fit.exponent), repr(fit.intercept), repr(fit.residual_rms))"
+        )
+        src = str(Path(moments.__file__).resolve().parents[1])
+        outputs = set()
+        for blas in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                     {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env={**os.environ, **blas, "PYTHONPATH": src},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert outputs == {"{!r} {!r} {!r}\n".format(*_fit_fields(fit_growth(SCAN_SAMPLES)))}
+
+
+def _fit_fields(fit: GrowthFit) -> tuple[float, float, float]:
+    return fit.exponent, fit.intercept, fit.residual_rms
+
+
+# a j = 1, sigma = 0.75 dyadic scan over [16, 32, 64, 128]
+SCAN_SAMPLES = [
+    (16.0, 57.13103925300214),
+    (32.0, 930.0458265706554),
+    (64.0, 7637.113117674326),
+    (128.0, 32099.44161010023),
+]
 
 
 class TestSplit:

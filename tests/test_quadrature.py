@@ -271,3 +271,44 @@ class TestIntegrate:
         fine, _, _ = integrate(f, 0.0, 30.0, q.halved())
         exact = math.atan(30.0)
         assert abs(fine - exact) <= abs(coarse - exact) + 1e-15
+
+
+class TestPieces:
+    BREAKS = [0.0, 64.0, 128.0, 256.0, 512.0]  # 57 + 73 + 168 + 380 panels
+
+    @staticmethod
+    def f(ts):
+        return np.abs(np.sin(ts * 3.1)) ** 1.7 + ts * 1e-3
+
+    def test_each_piece_keeps_its_own_panels(self):
+        pieces = quadrature.integrate_pieces(self.f, self.BREAKS)
+        for lo, hi, (value, panels, error) in zip(self.BREAKS, self.BREAKS[1:], pieces):
+            alone = integrate(self.f, lo, hi)
+            assert panels == alone[1] == panel_edges(lo, hi).size - 1
+            # the integrand is pointwise, so the chunks it is called on
+            # cannot move a bit
+            assert (value, error) == (alone[0], alone[2])
+
+    def test_chunks_span_pieces_whatever_the_threads(self):
+        sizes = []
+
+        def counted(ts):
+            sizes.append(ts.size)
+            return self.f(ts)
+
+        serial = quadrature.integrate_pieces(counted, self.BREAKS)
+        assert sizes == [256 * _X.size, 256 * _X.size, 166 * _X.size]  # 678 panels
+        for threads in (2, 4):
+            settings = QuadratureSettings(threads=threads)
+            assert quadrature.integrate_pieces(self.f, self.BREAKS, settings) == serial
+
+    def test_empty_and_nan_pieces_read_zero(self):
+        pieces = quadrature.integrate_pieces(self.f, [0.0, 0.0, 10.0, math.nan])
+        assert pieces[0] == pieces[2] == (0.0, 0, 0.0)
+        assert pieces[1] == integrate(self.f, 0.0, 10.0)
+
+    def test_sum_past_the_float_range_reads_inf(self):
+        # 97 finite panels of 2.5e307 or more each, whose fsum raises
+        # OverflowError
+        value, panels, _ = integrate(lambda t: np.full_like(t, 5e307), 0.0, 100.0)
+        assert panels == 97 and value == math.inf
