@@ -31,7 +31,6 @@ from .pairs import (
     PairSet,
     SEED_PAIRS,
     a_process,
-    apply_word,
     b_process,
     enumerate_pairs,
     q_family_pair,
@@ -39,7 +38,6 @@ from .pairs import (
 from .objectives import (
     FractionalObjective,
     LinearConstraint,
-    eval_objective,
     optimize,
     parse_constraint,
     parse_objective,
@@ -83,7 +81,7 @@ from .moments import (
     split_i1_i2,
     watt_ratio,
 )
-from .config import Config, dump_config, load_config, parse_config
+from .config import Config, load_config, parse_config
 
 __version__ = "0.1.0"
 
@@ -113,17 +111,14 @@ __all__ = [
     "a_process",
     "afe_simple",
     "afe_zeta_squared",
-    "apply_word",
     "b_process",
     "chi",
     "chi_grid",
     "consistency_check_mu_equals_pair",
     "divisor_phase_sum_direct",
     "divisor_phase_sum_hyperbola",
-    "dump_config",
     "dyadic_scan",
     "enumerate_pairs",
-    "eval_objective",
     "fit_growth",
     "functional_equation_residual",
     "integrate",

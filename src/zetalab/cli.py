@@ -207,7 +207,7 @@ def cmd_zeta_afe(args, config: Config) -> int:
     elif args.sigma is None or args.cutoff is None:
         raise ParseError("afe needs --sigma and --cutoff (or --grid scan)", 0)
     else:
-        rows = [report.afe_row(args.sigma, args.t, args.cutoff, es)[0]]
+        rows, _ = report.afe_rows([(args.sigma, args.t, args.cutoff)], es)
     _emit(report.emit_csv(report.ZETA_CSV_HEADER, rows))
     return 0
 
@@ -232,8 +232,8 @@ def cmd_zeta_afe2(args, config: Config) -> int:
     # the table's size cap, then the domain, then the sieve of x entries
     size = max(_term_count(x, "divisor table"), 1)
     _check_two_sum_domain(complex(args.sigma, args.t), x)
-    row, _ = report.afe2_row(args.sigma, args.t, x, DivisorTable(size), es)
-    _emit(report.emit_csv(report.ZETA_CSV_HEADER, [row]))
+    rows, _ = report.afe2_rows([(args.sigma, args.t, x)], DivisorTable(size), es)
+    _emit(report.emit_csv(report.ZETA_CSV_HEADER, rows))
     return 0
 
 

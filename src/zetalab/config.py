@@ -69,12 +69,6 @@ def parse_config(text: str) -> Config:
     return Config(**values)
 
 
-def dump_config(config: Config) -> str:
-    """Render the effective config in parseable form; repr keeps every
-    digit of a float, so parse_config gives back an equal Config."""
-    return "".join(f"{f.name} = {getattr(config, f.name)!r}\n" for f in fields(Config))
-
-
 def load_config(path: Optional[str] = None) -> Config:
     """Read config from path, else from $ZETALAB_CONFIG, else defaults."""
     if path is None:

@@ -170,7 +170,10 @@ def _phase_row(t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _term_count(length: float, what: str, cap: Optional[int] = None) -> int:
-    """floor(length), or ResourceLimitError past cap (default _MAX_TERMS) terms."""
+    """floor(length); DomainError for a non-finite length, ResourceLimitError
+    past cap (default _MAX_TERMS) terms."""
+    if not math.isfinite(length):
+        raise DomainError(f"{what} length must be finite, got {length}")
     cap = _MAX_TERMS if cap is None else cap
     m = int(math.floor(length))
     if m > cap:
@@ -189,7 +192,8 @@ def _cutoff(u: float, t: float) -> int:
 
 class DivisorTable:
     """d(n) for 1 <= n <= max_n by a sieve over the divisor pairs
-    n = m k, m <= k (so m <= sqrt(max_n)); d[n] indexes directly.
+    n = m k, m <= k (so m <= sqrt(max_n)); the array d holds d(n) at
+    index n, and require(n) refuses an n past the table.
 
     d[0] is 0 and unused.  int32 is ample: d(n) < n.
     """
@@ -209,12 +213,6 @@ class DivisorTable:
             raise DomainError(
                 f"divisor table holds n <= {self.max_n}, need {n}; build a larger table"
             )
-
-    def __getitem__(self, n: int) -> int:
-        if n < 1:
-            raise DomainError(f"d(n) needs n >= 1, got {n}")
-        self.require(n)
-        return int(self.d[n])
 
 
 def divisor_phase_sum_direct(u: float, t: float, table: DivisorTable) -> complex:

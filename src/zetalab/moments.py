@@ -219,6 +219,10 @@ def fit_growth(samples: Sequence[tuple[float, float]]) -> GrowthFit:
             raise DomainError(f"sample T must be > 0, got {big_t}")
         if value <= 0:
             raise DegenerateFitError(f"sample value must be > 0, got {value} at T = {big_t}")
+    # after the sign checks, so what they refuse keeps its error
+    for big_t, value in samples:
+        if not (math.isfinite(big_t) and math.isfinite(value)):
+            raise DomainError(f"sample must be finite, got {value} at T = {big_t}")
     log_t = [math.log(big_t) for big_t, _ in samples]
     log_v = [math.log(value) for _, value in samples]
     x_bar = math.fsum(log_t) / len(samples)

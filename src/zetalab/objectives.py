@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import DomainError, EmptyResultError, ParseError
+from .errors import EmptyResultError, ParseError
 from .pairs import ExponentPair, PairSet
 
 OBJECTIVE_GRAMMAR = """\
@@ -165,14 +165,6 @@ def parse_objective(text: str) -> FractionalObjective:
     if not (den.ck or den.cl or den.const):
         raise ParseError("denominator is identically zero", den_at)
     return FractionalObjective(num, den)
-
-
-def eval_objective(obj: FractionalObjective, p: ExponentPair) -> Fraction:
-    """Exact value of obj at the pair; division-by-zero is a domain error."""
-    den = obj.den(p)
-    if den == 0:
-        raise DomainError(f"objective denominator vanishes at {p}")
-    return obj.num(p) / den
 
 
 # parse_constraint tries these in order, so "<=" is found before "<" and "="

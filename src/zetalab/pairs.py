@@ -14,18 +14,17 @@ map valid pairs to valid pairs; B is an involution.  All arithmetic is
 exact over `fractions.Fraction`, so derived constants reduce to the
 canonical lowest-terms form.
 
-Process words are read right to left: the word "AAB" applied to a seed
-means B first, then A twice.  This matches the usual composition
-notation AB(0,1) from the exponent-pair literature.
+A pair's word records its derivation right to left: each process
+prepends its letter, so the word "AAB" on a seed means B first, then A
+twice.  This matches the usual composition notation AB(0,1) from the
+exponent-pair literature.
 
 A pair's record is its six PAIR_CSV_HEADER values; PairSet's CSV and
-JSON forms and the CLI's optimize row all read it.
+JSON forms and the CLI's optimize row all write it.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,19 +106,6 @@ def b_process(p: ExponentPair) -> ExponentPair:
     )
 
 
-def apply_word(word: str, p: ExponentPair) -> ExponentPair:
-    """Apply a process word, rightmost letter first."""
-    out = p
-    for ch in reversed(word):
-        if ch == "A":
-            out = a_process(out)
-        elif ch == "B":
-            out = b_process(out)
-        else:
-            raise DomainError(f"bad process letter {ch!r}")
-    return out
-
-
 # Named seed pairs.  The trivial pair (0, 1) is unconditional; the two
 # Huxley pairs hold only with +eps (Bombieri-Iwaniec method), as does
 # the two-parameter family below.
@@ -169,16 +155,6 @@ def pair_cells(p: ExponentPair) -> list[str]:
     return [str(v) for v in head] + ["true" if epsilon else "false"]
 
 
-def _from_record(row) -> ExponentPair:
-    """The pair of a JSON record (ints, a bool flag) or a CSV row (strings)."""
-    return ExponentPair(
-        k=Fraction(int(row["k_num"]), int(row["k_den"])),
-        l=Fraction(int(row["l_num"]), int(row["l_den"])),
-        word=row["word"],
-        carries_epsilon=row["epsilon"] in (True, "true"),
-    )
-
-
 class PairSet:
     """An ordered collection of exponent pairs, deduplicated by (k, l).
 
@@ -222,16 +198,8 @@ class PairSet:
         """CSV with header PAIR_CSV_HEADER (LF endings)."""
         return "".join(",".join(row) + "\n" for row in [_COLUMNS, *map(pair_cells, self)])
 
-    @classmethod
-    def from_csv(cls, text: str) -> "PairSet":
-        return cls(map(_from_record, csv.DictReader(io.StringIO(text))))
-
     def to_json(self) -> str:
         return json.dumps([dict(zip(_COLUMNS, _record(p))) for p in self], indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PairSet":
-        return cls(map(_from_record, json.loads(text)))
 
 
 # Closure size refused by enumerate_pairs.  From the trivial seed the

@@ -7,13 +7,14 @@ print with 15 significant digits, exact rationals as num/den, and
 nothing here reads clocks, hostnames, or thread counts, so two runs of
 any command produce the same bytes.
 
-zeta_row is the one builder of ZETA_CSV_HEADER rows.  Each zeta harness
-has one point function returning (row, figure): afe_row, afe2_row and
-smooth_row serve the single-point CLI command and, for smooth, the scan.
-fe_check_rows, afe_scan_rows and afe2_scan_rows evaluate their whole grid
-in one call of the zeta module's array path, whose values at a point
-do not depend on the batch, so a scan row equals its point function's
-row.  The afe and smooth bound columns are fixed shapes, AFE_BOUND and
+zeta_row is the one builder of ZETA_CSV_HEADER rows.  fe_check_rows,
+afe_rows and afe2_rows evaluate a whole grid in one call of the zeta
+module's array path, whose values at a point do not depend on the batch,
+so a scan row equals the row of its point as a one-point grid; the
+single-point afe and afe2 commands are such grids, and afe_scan_rows
+and afe2_scan_rows are the named grids.  smooth_row is the smoothed
+series' point function, which its scan calls per point.  The afe and
+smooth bound columns are fixed shapes, AFE_BOUND and
 SMOOTH_BOUND * Y^{1/2 - sigma}; nothing here compares them with a residual.
 """
 
@@ -46,8 +47,6 @@ from .zeta import (
     _fe_residuals,
     _log_gamma,
     _zeta_at,
-    afe_simple,
-    afe_zeta_squared,
     chi_grid,
     smoothed_sum,
     zeta,
@@ -123,15 +122,6 @@ def fe_check_rows(
     return rows, max(residuals, default=0.0)
 
 
-def afe_row(
-    sigma: float, t: float, cutoff: float, settings: EvalSettings
-) -> tuple[list[str], float]:
-    """The truncated series sum_{n <= cutoff} n^{-s} at s = sigma + it;
-    returns (row, residual), the bound column being AFE_BOUND."""
-    value, residual = afe_simple(complex(sigma, t), cutoff, settings)
-    return zeta_row(sigma, t, cutoff, value, residual, AFE_BOUND), residual
-
-
 def afe_grid() -> list[tuple[float, float, float]]:
     """42 points (sigma, t, cutoff): for T in {100, 1000} and three
     sigmas, seven t in [T, 2T] with cutoff 2T."""
@@ -143,21 +133,29 @@ def afe_grid() -> list[tuple[float, float, float]]:
     ]
 
 
-def afe_scan_rows(settings: EvalSettings) -> tuple[list[list[str]], float]:
-    """Truncated-series residuals over afe_grid, the whole grid in one
-    array evaluation; each row is afe_row's at its point.
-
-    The residual contract is O(1) with an unspecified constant; rows
-    carry residual/AFE_BOUND, and the returned worst residual is what
-    acceptance holds to 10, nothing sharper.
-    """
-    grid = afe_grid()
+def afe_rows(
+    grid: Sequence[tuple[float, float, float]], settings: EvalSettings
+) -> tuple[list[list[str]], float]:
+    """The truncated series sum_{n <= cutoff} n^{-s} at each point
+    (sigma, t, cutoff) of grid, s = sigma + it, the whole grid in one
+    array evaluation; the bound column is AFE_BOUND.  Returns (rows,
+    worst residual)."""
     scan = _afe_points([complex(s, t) for s, t, _ in grid], [c for *_, c in grid], settings)
     rows = [
         zeta_row(sigma, t, cutoff, value, residual, AFE_BOUND)
         for (sigma, t, cutoff), (value, residual) in zip(grid, scan)
     ]
     return rows, max((residual for _, residual in scan), default=0.0)
+
+
+def afe_scan_rows(settings: EvalSettings) -> tuple[list[list[str]], float]:
+    """afe_rows over afe_grid.
+
+    The residual contract is O(1) with an unspecified constant; rows
+    carry residual/AFE_BOUND, and the returned worst residual is what
+    acceptance holds to 10, nothing sharper.
+    """
+    return afe_rows(afe_grid(), settings)
 
 
 def afe2_grid() -> list[tuple[float, float, float]]:
@@ -172,30 +170,26 @@ def afe2_grid() -> list[tuple[float, float, float]]:
     return grid
 
 
-def afe2_row(
-    sigma: float, t: float, x: float, table: DivisorTable, settings: EvalSettings
-) -> tuple[list[str], float]:
-    """The two-sum representation of zeta(s)^2 at s = sigma + it with
-    cutoff x; returns (row, residual/bound)."""
-    value, residual, bound = afe_zeta_squared(complex(sigma, t), x, table, settings)
-    return zeta_row(sigma, t, x, value, residual, bound), residual / bound
-
-
-def afe2_scan_rows(settings: EvalSettings) -> tuple[list[list[str]], float]:
-    """Two-sum representation residuals over the 50-point grid, the whole
-    grid in one array evaluation; each row is afe2_row's at its point.
-
-    Returns (rows, worst residual/bound ratio), which acceptance holds
-    to 50.
-    """
-    grid = afe2_grid()
-    table = DivisorTable(int(max(x for _, _, x in grid)) + 1)
+def afe2_rows(
+    grid: Sequence[tuple[float, float, float]], table: DivisorTable, settings: EvalSettings
+) -> tuple[list[list[str]], float]:
+    """The two-sum representation of zeta(s)^2 at each point (sigma, t, x)
+    of grid, s = sigma + it with cutoff x, the whole grid in one array
+    evaluation over the divisor table.  Returns (rows, worst
+    residual/bound ratio)."""
     scan = _afe2_points([complex(s, t) for s, t, _ in grid], [x for *_, x in grid], table, settings)
     rows = [
         zeta_row(sigma, t, x, value, residual, bound)
         for (sigma, t, x), (value, residual, bound) in zip(grid, scan)
     ]
     return rows, max((residual / bound for _, residual, bound in scan), default=0.0)
+
+
+def afe2_scan_rows(settings: EvalSettings) -> tuple[list[list[str]], float]:
+    """afe2_rows over afe2_grid, whose worst residual/bound ratio
+    acceptance holds to 50."""
+    grid = afe2_grid()
+    return afe2_rows(grid, DivisorTable(int(max(x for _, _, x in grid)) + 1), settings)
 
 
 def _check_residue_range(s: complex):
@@ -243,13 +237,21 @@ def _hyperbola_spot_max(us: Sequence[int], ts: Sequence[float]) -> float:
     return worst
 
 
+def _pair_thresholds(p: pairs_mod.ExponentPair) -> dict:
+    """A pair and its two Theorem 1 thresholds, as the report shows them."""
+    return {
+        "k": fmt_rational(p.k),
+        "l": fmt_rational(p.l),
+        "sigma_pair": fmt_rational(thresholds.theorem1_pair_sigma(p)),
+        "sigma_full": fmt_rational(thresholds.theorem1_sigma(p)),
+    }
+
+
 def regression_data(config: Config) -> dict:
     """Everything the regression report shows, as plain data."""
     es = config.eval_settings()
     qs = config.quadrature_settings()
 
-    reference = pairs_mod.SEED_PAIRS["huxley32"]
-    superseded = pairs_mod.SEED_PAIRS["huxley89"]
     family, (best_q, best_pair, best_sigma) = thresholds.q_family_optimum(
         thresholds.theorem2_sigma, range(2, 11)
     )
@@ -288,18 +290,8 @@ def regression_data(config: Config) -> dict:
 
     return {
         "thresholds": {
-            "reference_pair": {
-                "k": fmt_rational(reference.k),
-                "l": fmt_rational(reference.l),
-                "sigma_pair": fmt_rational(thresholds.theorem1_pair_sigma(reference)),
-                "sigma_full": fmt_rational(thresholds.theorem1_sigma(reference)),
-            },
-            "superseded_pair": {
-                "k": fmt_rational(superseded.k),
-                "l": fmt_rational(superseded.l),
-                "sigma_pair": fmt_rational(thresholds.theorem1_pair_sigma(superseded)),
-                "sigma_full": fmt_rational(thresholds.theorem1_sigma(superseded)),
-            },
+            "reference_pair": _pair_thresholds(pairs_mod.SEED_PAIRS["huxley32"]),
+            "superseded_pair": _pair_thresholds(pairs_mod.SEED_PAIRS["huxley89"]),
             "q_family": family_rows,
             "q_family_optimum": {
                 "q": best_q,
@@ -344,6 +336,14 @@ def regression_data(config: Config) -> dict:
     }
 
 
+def _pair_line(label: str, pair: dict) -> str:
+    """The report line of one _pair_thresholds block."""
+    return (
+        f"  second-power weight, {label} ({pair['k']}, {pair['l']}): "
+        f"sigma_pair {pair['sigma_pair']}, sigma_full {pair['sigma_full']}"
+    )
+
+
 def render_report(data: dict) -> str:
     """Human-readable regression table from regression_data output."""
     th = data["thresholds"]
@@ -353,18 +353,8 @@ def render_report(data: dict) -> str:
         "regression report: hybrid fourth-moment laboratory",
         "",
         "exact rational thresholds",
-        (
-            f"  second-power weight, pair ({th['reference_pair']['k']}, "
-            f"{th['reference_pair']['l']}): sigma_pair "
-            f"{th['reference_pair']['sigma_pair']}, sigma_full "
-            f"{th['reference_pair']['sigma_full']}"
-        ),
-        (
-            f"  second-power weight, superseded pair ({th['superseded_pair']['k']}, "
-            f"{th['superseded_pair']['l']}): sigma_pair "
-            f"{th['superseded_pair']['sigma_pair']}, sigma_full "
-            f"{th['superseded_pair']['sigma_full']}"
-        ),
+        _pair_line("pair", th["reference_pair"]),
+        _pair_line("superseded pair", th["superseded_pair"]),
         (
             f"  fourth-power weight, family optimum: q = {th['q_family_optimum']['q']}, "
             f"pair ({th['q_family_optimum']['k']}, {th['q_family_optimum']['l']}), "

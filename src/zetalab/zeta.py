@@ -68,10 +68,10 @@ every residual then run per point on Python complex: numpy's complex *
 and / on arrays round differently from CPython's (a third to a half of
 random pairs differ in the last bit), and on arrays they moved more
 than half of the fe-check rows.  zeta(), _zeta_at (the value at a given
-N), partial_zeta_sum, afe_simple, afe_zeta_squared and
-functional_equation_residual are one-point calls of this path; the
-report scans evaluate their grids in one call, so a grid point's value
-does not depend on the batch it is in.  zeta_grid_multi calls the same
+N), afe_simple, afe_zeta_squared and functional_equation_residual are
+one-point calls of this path; the report's row builders evaluate their
+grids in one call, so a grid point's value does not depend on the
+batch it is in.  zeta_grid_multi calls the same
 length rule at one point and adds the same _em_tail on arrays.
 _dirichlet_sum is the one Dirichlet-polynomial kernel on quadrature
 nodes: a phase row per cell of nodes, shifted to each node by a Taylor
@@ -174,12 +174,6 @@ def _remainder_log_terms(s: np.ndarray) -> tuple[list[float], list[float], list[
     moduli[:, -1] /= p
     logs = np.log(moduli, out=moduli, where=moduli > 0)
     return logs[:, :-1].sum(axis=1).tolist(), logs[:, -1].tolist(), p.tolist()
-
-
-def _remainder_log_bound(s: complex, n_terms: int) -> float:
-    """log of the Euler-Maclaurin remainder bound at N = n_terms."""
-    (rise,), (tail,), (p,) = _remainder_log_terms(np.array([complex(s)]))
-    return _LOG_BERNOULLI + rise + tail - p * math.log(n_terms)
 
 
 def _choose_terms(s, settings: EvalSettings):
@@ -510,12 +504,6 @@ def functional_equation_residual(
     if s == 0 or s == 1:
         raise PoleError("functional-equation residual undefined at s = 0, 1")
     return _fe_residuals([s], settings)[1][0]
-
-
-def partial_zeta_sum(s: complex, cutoff: float) -> complex:
-    """sum_{n <= cutoff} n^{-s}, exactly-rounded reduction."""
-    m = _term_count(cutoff, "cutoff")
-    return _direct_sums(np.array([-complex(s)]), [m])[0]
 
 
 def _afe_points(

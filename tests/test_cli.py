@@ -335,16 +335,16 @@ class TestHarnessParity:
         rows, _ = report.afe_scan_rows(DEFAULT_SETTINGS)
         grid = report.afe_grid()
         assert len(rows) == len(grid) == 42
-        for (sigma, t, cutoff), row in zip(grid, rows):
-            assert report.afe_row(sigma, t, cutoff, DEFAULT_SETTINGS)[0] == row
+        for point, row in zip(grid, rows):
+            assert report.afe_rows([point], DEFAULT_SETTINGS)[0] == [row]
 
     def test_afe2_scan_is_afe2_row_at_every_point(self):
         rows, _ = report.afe2_scan_rows(DEFAULT_SETTINGS)
         grid = report.afe2_grid()
         table = dirichlet.DivisorTable(int(max(x for _, _, x in grid)) + 1)
         assert len(rows) == len(grid) == 50
-        for (sigma, t, x), row in zip(grid, rows):
-            assert report.afe2_row(sigma, t, x, table, DEFAULT_SETTINGS)[0] == row
+        for point, row in zip(grid, rows):
+            assert report.afe2_rows([point], table, DEFAULT_SETTINGS)[0] == [row]
 
     def test_smooth_point_matches_scan(self, capsys):
         rows, _ = report.smooth_scan_rows(DEFAULT_SETTINGS)

@@ -33,14 +33,14 @@ def table():
 
 class TestDivisorSieve:
     def test_known_counts(self, table):
-        assert table[1] == 1
-        assert table[6] == 4
-        assert table[12] == 6
-        assert table[2**10] == 11
+        assert table.d[1] == 1
+        assert table.d[6] == 4
+        assert table.d[12] == 6
+        assert table.d[2**10] == 11
 
     def test_primes_have_two(self, table):
         for p in (2, 3, 5, 7, 97, 7919):
-            assert table[p] == 2
+            assert table.d[p] == 2
 
     def test_partial_sum_ten(self, table):
         assert int(table.d[1:11].sum()) == 27
@@ -51,7 +51,7 @@ class TestDivisorSieve:
             return 2 * pairs - (1 if math.isqrt(n) ** 2 == n else 0)
 
         for n in range(1, 10001):
-            assert table[n] == count(n)
+            assert table.d[n] == count(n)
         # the sieve stops at sqrt(size): tables ending at or around a square
         for size in (1, 2, 3, 4, 99, 100, 101):
             small = DivisorTable(size)
@@ -67,14 +67,19 @@ class TestDivisorSieve:
             assert lhs == rhs
 
     def test_bounds(self, table):
+        table.require(20000)
         with pytest.raises(DomainError):
-            table[0]
-        with pytest.raises(DomainError):
-            table[20001]
+            table.require(20001)
         with pytest.raises(DomainError):
             DivisorTable(0)
         with pytest.raises(ResourceLimitError):
             DivisorTable(dirichlet._MAX_TERMS + 1)
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf])
+    def test_non_finite_table_size_is_a_domain_error(self, size):
+        # refused by _term_count, before math.floor sees it
+        with pytest.raises(DomainError, match="divisor table length must be finite"):
+            DivisorTable(size)
 
 
 class TestDivisorPhaseSums:

@@ -338,6 +338,21 @@ class TestGrowthFit:
         with pytest.raises(DegenerateFitError):
             fit_growth([(1.0, 1.0), (2.0, -2.0), (3.0, 3.0)])
 
+    @pytest.mark.parametrize(
+        "sample", [(2.0, math.nan), (2.0, math.inf), (math.nan, 2.0), (math.inf, 2.0)]
+    )
+    def test_non_finite_sample(self, sample):
+        # refused as such, not as a fit of nan or fsum's "-inf + inf"
+        with pytest.raises(DomainError, match="sample must be finite"):
+            fit_growth([(1.0, 1.0), sample, (3.0, 3.0)])
+
+    def test_sign_checks_come_first(self):
+        # a later nonpositive T or value keeps its own error and message
+        with pytest.raises(DomainError, match="sample T must be > 0"):
+            fit_growth([(math.inf, 1.0), (-1.0, 2.0), (3.0, 3.0)])
+        with pytest.raises(DegenerateFitError, match="sample value must be > 0"):
+            fit_growth([(2.0, math.nan), (2.0, 0.0), (3.0, 3.0)])
+
     def test_scan_needs_ascending_t(self):
         with pytest.raises(DomainError):
             dyadic_scan(0.9, 1, [64.0, 32.0, 128.0])

@@ -1,5 +1,8 @@
 """Exact arithmetic of the exponent-pair calculus."""
 
+import csv
+import io
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -13,13 +16,29 @@ from zetalab import (
     PairSet,
     SEED_PAIRS,
     a_process,
-    apply_word,
     b_process,
     enumerate_pairs,
     q_family_pair,
 )
 
 TRIVIAL = SEED_PAIRS["trivial"]
+PROCESS = {"A": a_process, "B": b_process}
+
+
+def _apply(word: str, p: ExponentPair) -> ExponentPair:
+    """The processes of word applied to p, rightmost letter first."""
+    for letter in reversed(word):
+        p = PROCESS[letter](p)
+    return p
+
+
+def _same_record(record: dict, p: ExponentPair, flag):
+    """A CSV row or JSON record holds p's k, l and word, and its flag
+    as `flag` (the string true/false in CSV, a bool in JSON)."""
+    assert F(int(record["k_num"]), int(record["k_den"])) == p.k
+    assert F(int(record["l_num"]), int(record["l_den"])) == p.l
+    assert record["word"] == p.word
+    assert type(record["epsilon"]) is type(flag) and record["epsilon"] == flag
 
 
 def valid_pairs():
@@ -79,13 +98,12 @@ class TestProcesses:
         assert b_process(TRIVIAL).key() == (F(1, 2), F(1, 2))
 
     def test_ab_of_trivial(self):
-        assert apply_word("AB", TRIVIAL).key() == (F(1, 6), F(2, 3))
+        assert a_process(b_process(TRIVIAL)).key() == (F(1, 6), F(2, 3))
 
     def test_word_applied_right_to_left(self):
-        lhs = apply_word("AB", TRIVIAL)
-        rhs = a_process(b_process(TRIVIAL))
-        assert lhs.key() == rhs.key()
-        assert lhs.word == "AB"
+        p = a_process(b_process(TRIVIAL))
+        assert p.word == "AB"
+        assert _apply(p.word, TRIVIAL).key() == p.key()
 
     def test_word_prepends(self):
         p = b_process(SEED_PAIRS["huxley32"])
@@ -108,10 +126,6 @@ class TestProcesses:
     def test_a_preserves_validity(self, p):
         q = a_process(p)
         assert 0 <= q.k <= F(1, 2) <= q.l <= 1 and q.k <= q.l
-
-    def test_bad_letter_in_apply_word(self):
-        with pytest.raises(DomainError):
-            apply_word("AC", TRIVIAL)
 
 
 class TestQFamily:
@@ -144,7 +158,7 @@ class TestPairSet:
         assert next(iter(ps)).word == ""
 
     def test_sorted_iteration(self):
-        ps = PairSet([b_process(TRIVIAL), TRIVIAL, apply_word("AB", TRIVIAL)])
+        ps = PairSet([b_process(TRIVIAL), TRIVIAL, a_process(b_process(TRIVIAL))])
         keys = [p.key() for p in ps]
         assert keys == sorted(keys)
 
@@ -156,15 +170,17 @@ class TestPairSet:
 
     def test_csv_round_trip(self):
         ps = enumerate_pairs([SEED_PAIRS["huxley32"], TRIVIAL], 3)
-        again = PairSet.from_csv(ps.to_csv())
-        assert again == ps
-        assert [p.word for p in again] == [p.word for p in ps]
-        assert [p.carries_epsilon for p in again] == [p.carries_epsilon for p in ps]
+        records = list(csv.DictReader(io.StringIO(ps.to_csv())))
+        assert len(records) == len(ps)
+        for record, p in zip(records, ps):
+            _same_record(record, p, "true" if p.carries_epsilon else "false")
 
     def test_json_round_trip(self):
         ps = enumerate_pairs([SEED_PAIRS["huxley89"]], 2)
-        again = PairSet.from_json(ps.to_json())
-        assert again == ps
+        records = json.loads(ps.to_json())
+        assert len(records) == len(ps)
+        for record, p in zip(records, ps):
+            _same_record(record, p, p.carries_epsilon)
 
     def test_csv_header_and_lf(self):
         text = PairSet([TRIVIAL]).to_csv()
@@ -212,5 +228,5 @@ def test_word_reproduces_pair():
     """Each enumerated pair's stored word regenerates it from some seed."""
     seeds = list(SEED_PAIRS.values())
     for p in enumerate_pairs(seeds, 5):
-        regenerated = {apply_word(p.word, s).key() for s in seeds}
+        regenerated = {_apply(p.word, s).key() for s in seeds}
         assert p.key() in regenerated

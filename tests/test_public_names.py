@@ -1,6 +1,8 @@
 """Every public name the package exports, every function the benchmark's
 tracer wraps, every layer attribute its workloads and probes reach, and
-every settings attribute it reads, resolves on the installed package.
+every settings attribute it reads, resolves on the installed package;
+and every public name the package defines has a reader outside the
+unit tests.
 
 perfbench/spans.py, workloads.py and probes.py are read with ast, not
 imported, and never changed: the Tracer calls getattr on each (module,
@@ -18,7 +20,10 @@ import pytest
 import zetalab
 from zetalab import QuadratureSettings
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "zetalab"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 SPANS = PERFBENCH / "spans.py"
 CALLERS = (PERFBENCH / "workloads.py", PERFBENCH / "probes.py")
 
@@ -117,3 +122,66 @@ def test_benchmark_settings_attributes_exist():
 def test_package_all_resolves():
     missing = [name for name in zetalab.__all__ if not hasattr(zetalab, name)]
     assert zetalab.__all__ and missing == []
+
+
+def _public_definitions() -> list[str]:
+    """module.name of each public module-level function or class, and
+    module.Class.name of each public method, defined in the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{path.stem}.{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return found
+
+
+def _package_references() -> set[str]:
+    """Each name the package reads outside __init__.py: a Name, the attr
+    of an Attribute, or the name of an import alias."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name)
+    return found
+
+
+def _benchmark_names() -> set[str]:
+    """The names perfbench reaches: each part of a LAYER_FUNCTIONS
+    attribute, each layer attribute, each settings read and keyword."""
+    found = {part for _, dotted in _layer_functions() for part in dotted.split(".")}
+    found |= {name for _, name in _layer_attributes()}
+    reads, keywords = _settings_reads()
+    return found | reads | keywords
+
+
+def _acceptance_imports() -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("zetalab")
+        for alias in node.names
+    }
+
+
+def test_every_public_name_has_a_caller():
+    # "no module without a caller", for names: a public name that only
+    # unit tests and __all__ read is dead weight in the package
+    readers = _package_references() | _benchmark_names() | _acceptance_imports()
+    defined = _public_definitions()
+    assert "zeta.zeta" in defined and "pairs.PairSet.to_csv" in defined  # not vacuous
+    uncalled = [name for name in defined if name.rsplit(".", 1)[1] not in readers]
+    assert uncalled == []

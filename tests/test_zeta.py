@@ -37,15 +37,15 @@ from zetalab.dirichlet import _MAX_TERMS
 from zetalab.quadrature import panel_edges
 from zetalab.zeta import (
     DEFAULT_SETTINGS,
+    _LOG_BERNOULLI,
     _choose_terms,
     _log_gamma,
-    _remainder_log_bound,
+    _remainder_log_terms,
     _zeta_at,
     _zeta_points,
     _zeta_values,
     bernoulli_numbers,
     default_smoothing_truncation,
-    partial_zeta_sum,
 )
 
 # frozen oracles (see module docstring)
@@ -151,8 +151,10 @@ class TestAutoRule:
         s = complex(sigma, t)
         log_target = math.log(DEFAULT_SETTINGS.target_abs_error)
         n = _choose_terms(s, DEFAULT_SETTINGS)
-        assert _remainder_log_bound(s, n) <= log_target
-        assert n == 2 or _remainder_log_bound(s, n - 1) > log_target
+        (rise,), (tail,), (p,) = _remainder_log_terms(np.array([s]))
+        a = _LOG_BERNOULLI + rise + tail  # the bound at N is A - p log N
+        assert a - p * math.log(n) <= log_target
+        assert n == 2 or a - p * math.log(n - 1) > log_target
         assert n <= max(50, math.ceil(2 * t))  # the former start of the search
 
     def test_unreachable_target_raises(self):
@@ -596,14 +598,14 @@ class TestAfeSimple:
             afe_simple(0.75, -1.0)
 
     def test_partial_sum_empty(self):
-        assert partial_zeta_sum(2.0, 0.5) == 0
+        value, residual = afe_simple(2.0, 0.5)
+        assert value == 0
+        assert residual == abs(zeta(2.0))
 
     def test_cutoff_beyond_term_cap(self):
         # refused before anything is allocated
         with pytest.raises(ResourceLimitError):
             afe_simple(0.75 + 10j, _MAX_TERMS + 1)
-        with pytest.raises(ResourceLimitError):
-            partial_zeta_sum(2.0, _MAX_TERMS + 1)
 
 
 class TestSmoothedSum:
