@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import report
 from .config import Config, load_config
-from .dirichlet import DivisorTable, _term_count
+from .dirichlet import _term_count
 from .errors import (
     DomainError,
     EmptyResultError,
@@ -46,7 +46,7 @@ from .thresholds import (
     theorem1_sigma,
     theorem2_sigma,
 )
-from .zeta import _MAX_WEIGHT_TERMS, _check_two_sum_domain, zeta
+from .zeta import _MAX_WEIGHT_TERMS, zeta
 
 _ff = report.fmt_float
 _fr = report.fmt_rational
@@ -227,12 +227,7 @@ def cmd_zeta_afe2(args, config: Config) -> int:
             x = float(args.x)
         except ValueError:
             raise ParseError(f"--x must be a number or 'balanced', got {args.x!r}", 0) from None
-    if not math.isfinite(x):
-        raise DomainError(f"cutoff x must be finite, got x = {x} at t = {args.t}")
-    # the table's size cap, then the domain, then the sieve of x entries
-    size = max(_term_count(x, "divisor table"), 1)
-    _check_two_sum_domain(complex(args.sigma, args.t), x)
-    rows, _ = report.afe2_rows([(args.sigma, args.t, x)], DivisorTable(size), es)
+    rows, _ = report.afe2_rows([(args.sigma, args.t, x)], es)
     _emit(report.emit_csv(report.ZETA_CSV_HEADER, rows))
     return 0
 

@@ -67,8 +67,6 @@ class ExponentPair:
             raise DomainError(f"k out of range [0, 1/2]: {k}")
         if not (HALF <= l <= ONE):
             raise DomainError(f"l out of range [1/2, 1]: {l}")
-        if k > l:
-            raise DomainError(f"k > l: ({k}, {l})")
         if any(ch not in "AB" for ch in self.word):
             raise DomainError(f"word must be over alphabet {{A, B}}: {self.word!r}")
 
@@ -188,11 +186,6 @@ class PairSet:
 
     def keys(self) -> set[tuple[Fraction, Fraction]]:
         return set(self._by_key)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PairSet):
-            return NotImplemented
-        return self.keys() == other.keys()
 
     def to_csv(self) -> str:
         """CSV with header PAIR_CSV_HEADER (LF endings)."""

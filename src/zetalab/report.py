@@ -43,6 +43,7 @@ from .zeta import (
     EvalSettings,
     _afe2_points,
     _afe_points,
+    _check_domain,
     _choose_terms,
     _fe_residuals,
     _log_gamma,
@@ -78,8 +79,7 @@ def fe_check_grid(name: str) -> list[complex]:
     """Deterministic s-grids for the functional-equation identity.
 
     "coarse" is a quick 36-point smoke grid; "fine" is the 1000-point
-    grid (0 < sigma < 1, |t| <= 100) the identity contract is judged
-    on.  Points within 1e-3 of s = 0 or s = 1 are excluded.
+    grid (0 < sigma < 1, |t| <= 100) the identity contract is judged on.
     """
     if name == "coarse":
         sigmas = [0.25, 0.5, 0.75]
@@ -90,14 +90,7 @@ def fe_check_grid(name: str) -> list[complex]:
         ts = list(np.linspace(-100.0, 100.0, 100))
     else:
         raise DomainError(f"unknown grid {name!r}; use coarse or fine")
-    grid = []
-    for sig in sigmas:
-        for t in ts:
-            s = complex(sig, t)
-            if abs(s) < 1e-3 or abs(s - 1) < 1e-3:
-                continue
-            grid.append(s)
-    return grid
+    return [complex(sig, t) for sig in sigmas for t in ts]
 
 
 def zeta_row(sigma, t, x_or_y, value, residual=None, bound=None) -> list[str]:
@@ -171,13 +164,13 @@ def afe2_grid() -> list[tuple[float, float, float]]:
 
 
 def afe2_rows(
-    grid: Sequence[tuple[float, float, float]], table: DivisorTable, settings: EvalSettings
+    grid: Sequence[tuple[float, float, float]], settings: EvalSettings
 ) -> tuple[list[list[str]], float]:
     """The two-sum representation of zeta(s)^2 at each point (sigma, t, x)
     of grid, s = sigma + it with cutoff x, the whole grid in one array
-    evaluation over the divisor table.  Returns (rows, worst
+    evaluation over one divisor table.  Returns (rows, worst
     residual/bound ratio)."""
-    scan = _afe2_points([complex(s, t) for s, t, _ in grid], [x for *_, x in grid], table, settings)
+    scan = _afe2_points([complex(s, t) for s, t, _ in grid], [x for *_, x in grid], settings)
     rows = [
         zeta_row(sigma, t, x, value, residual, bound)
         for (sigma, t, x), (value, residual, bound) in zip(grid, scan)
@@ -188,8 +181,7 @@ def afe2_rows(
 def afe2_scan_rows(settings: EvalSettings) -> tuple[list[list[str]], float]:
     """afe2_rows over afe2_grid, whose worst residual/bound ratio
     acceptance holds to 50."""
-    grid = afe2_grid()
-    return afe2_rows(grid, DivisorTable(int(max(x for _, _, x in grid)) + 1), settings)
+    return afe2_rows(afe2_grid(), settings)
 
 
 def _check_residue_range(s: complex):
@@ -211,8 +203,10 @@ def smooth_residual(s: complex, smoothing: float, settings: EvalSettings, value:
 def smooth_row(s: complex, smoothing: float, settings: EvalSettings) -> tuple[list[str], float]:
     """The smoothed series at Y = smoothing and its residual; the bound
     column is SMOOTH_BOUND * Y^{1/2 - sigma}.  Returns (row, residual).
-    sigma > 3/2 is refused before the series is summed."""
+    A point outside zeta's domain, then sigma > 3/2, is refused before
+    the series is summed."""
     s = complex(s)
+    _check_domain(s)
     _check_residue_range(s)
     value = smoothed_sum(s, smoothing)
     residual = smooth_residual(s, smoothing, settings, value)

@@ -71,8 +71,11 @@ than half of the fe-check rows.  zeta(), _zeta_at (the value at a given
 N), afe_simple, afe_zeta_squared and functional_equation_residual are
 one-point calls of this path; the report's row builders evaluate their
 grids in one call, so a grid point's value does not depend on the
-batch it is in.  zeta_grid_multi calls the same
-length rule at one point and adds the same _em_tail on arrays.
+batch it is in.  The finite-sum harnesses (_afe_points, _afe2_points and
+the report's smooth_row) run _check_domain at each point first, so a
+point that zeta() refuses is refused before any series is summed or any
+divisor table sieved.  zeta_grid_multi calls the same length rule at
+one point and adds the same _em_tail on arrays.
 _dirichlet_sum is the one Dirichlet-polynomial kernel on quadrature
 nodes: a phase row per cell of nodes, shifted to each node by a Taylor
 polynomial.  zeta_grid_multi takes its direct sum there, and the moment
@@ -509,11 +512,13 @@ def functional_equation_residual(
 def _afe_points(
     points: Sequence[complex], cutoffs: Sequence[float], settings: EvalSettings
 ) -> list[tuple[complex, float]]:
-    """afe_simple at each (s, cutoff), as one array evaluation; a point's
-    checks run in afe_simple's order, point by point."""
+    """afe_simple at each (s, cutoff), as one array evaluation.  Each
+    point is checked before anything is summed: zeta's domain, then
+    sigma >= 1/2, then the cutoff and its term cap."""
     points = [complex(s) for s in points]
     lengths = []
     for s, cutoff in zip(points, cutoffs):
+        _check_domain(s)
         if s.real < 0.5:
             raise DomainError(f"sigma must be >= 1/2 for the truncated series, got {s.real}")
         if not 0 <= cutoff < math.inf:
@@ -562,8 +567,8 @@ def smoothed_sum(s: complex, smoothing: float) -> complex:
 
 def _check_two_sum_domain(s: complex, x: float):
     """DomainError unless 0 < sigma < 1, 10 <= t < inf and
-    t/(2 pi) <= x <= t^2: the domain of afe_zeta_squared, which callers
-    check before they sieve a divisor table of x entries."""
+    t/(2 pi) <= x <= t^2: the domain of afe_zeta_squared, which
+    _afe2_points checks at each point before it sieves its divisor table."""
     sigma, t = s.real, s.imag
     if not (0 < sigma < 1):
         raise DomainError(f"sigma must lie in (0, 1), got {sigma}")
@@ -575,21 +580,22 @@ def _check_two_sum_domain(s: complex, x: float):
 
 
 def _afe2_points(
-    points: Sequence[complex],
-    xs: Sequence[float],
-    table: DivisorTable,
-    settings: EvalSettings,
+    points: Sequence[complex], xs: Sequence[float], settings: EvalSettings
 ) -> list[tuple[complex, float, float]]:
-    """afe_zeta_squared at each (s, x), as one array evaluation; a point's
-    checks run in afe_zeta_squared's order, point by point."""
+    """afe_zeta_squared at each (s, x), as one array evaluation over one
+    divisor table of the largest floor(x) entries.  Each point is checked
+    before the table is sieved: zeta's domain, a finite x, the table's
+    term cap, then _check_two_sum_domain."""
     points = [complex(s) for s in points]
     nx, ny = [], []
     for s, x in zip(points, xs):
+        _check_domain(s)
+        if not math.isfinite(x):
+            raise DomainError(f"cutoff x must be finite, got x = {x} at t = {s.imag}")
+        nx.append(_term_count(x, "divisor table"))
         _check_two_sum_domain(s, x)
-        y = (s.imag / (2 * math.pi)) ** 2 / x
-        nx.append(int(math.floor(x)))
-        ny.append(int(math.floor(y)))  # ny <= nx, as y <= x
-        table.require(max(nx[-1], 1))
+        ny.append(int(math.floor((s.imag / (2 * math.pi)) ** 2 / x)))  # ny <= nx, as y <= x
+    table = DivisorTable(max(nx, default=1))
     s = np.array(points)
     first = _direct_sums(-s, nx, table.d)
     second = _direct_sums(s - 1, ny, table.d)
@@ -603,10 +609,7 @@ def _afe2_points(
 
 
 def afe_zeta_squared(
-    s: complex,
-    x: float,
-    table: DivisorTable,
-    settings: EvalSettings = DEFAULT_SETTINGS,
+    s: complex, x: float, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> tuple[complex, float, float]:
     """Two-sum representation of zeta(s)^2 with divisor coefficients:
 
@@ -622,4 +625,4 @@ def afe_zeta_squared(
     residual/bound ratio is judged at scan level against a configured
     constant, since the true O-constant is not explicit.
     """
-    return _afe2_points([s], [x], table, settings)[0]
+    return _afe2_points([s], [x], settings)[0]

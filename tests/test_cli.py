@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, CSV schemas, byte determinism."""
 
+import importlib
 import json
 import math
 import os
@@ -16,6 +17,9 @@ from zetalab.config import ENV_VAR
 from zetalab.dirichlet import _MAX_TERMS
 from zetalab.report import MOMENT_CSV_HEADER, PAIR_CSV_HEADER, ZETA_CSV_HEADER
 from zetalab.zeta import DEFAULT_SETTINGS, _fe_residuals, chi, smoothed_sum, zeta
+
+# the module; the package's attribute zetalab.zeta is the function zeta
+zeta_module = importlib.import_module("zetalab.zeta")
 
 
 def _bits(z: complex) -> tuple[str, str]:
@@ -136,12 +140,21 @@ class TestPairs:
             ["--objective", "k", "--constraint", "9" * 5000 + "k < 1"],
             ["--objective", "2*"],
             ["--objective", "k", "--constraint", "2* < 3"],
+            ["--objective", "k", "--q-range", "2:4"],
+            [],
         ],
-        ids=["long-objective-literal", "long-constraint-literal", "dangling-star", "dangling-star-constraint"],
+        ids=[
+            "long-objective-literal",
+            "long-constraint-literal",
+            "dangling-star",
+            "dangling-star-constraint",
+            "objective-and-q-range",
+            "no-objective",
+        ],
     )
     def test_optimize_refuses_malformed_text(self, flags, capsys):
         assert main(["pairs", "optimize", *flags, "--depth", "1"]) == 1
-        assert "parse error" in capsys.readouterr().err
+        assert "zetalab: parse error: " in capsys.readouterr().err
 
     def test_optimize_empty_result(self, capsys):
         assert main(["pairs", "optimize", "--objective", "k", "--constraint", "l < 1/2"]) == 2
@@ -242,7 +255,7 @@ class TestZeta:
         def no_table(*args):
             raise AssertionError("a divisor table was sieved")
 
-        monkeypatch.setattr(cli, "DivisorTable", no_table)
+        monkeypatch.setattr(zeta_module, "DivisorTable", no_table)
         assert main(["zeta", "afe2", "--sigma", "0.75", "--t", "50", "--x", "4000000"]) == 3
         assert "x must lie in" in capsys.readouterr().err
 
@@ -341,10 +354,9 @@ class TestHarnessParity:
     def test_afe2_scan_is_afe2_row_at_every_point(self):
         rows, _ = report.afe2_scan_rows(DEFAULT_SETTINGS)
         grid = report.afe2_grid()
-        table = dirichlet.DivisorTable(int(max(x for _, _, x in grid)) + 1)
         assert len(rows) == len(grid) == 50
         for point, row in zip(grid, rows):
-            assert report.afe2_rows([point], table, DEFAULT_SETTINGS)[0] == [row]
+            assert report.afe2_rows([point], DEFAULT_SETTINGS)[0] == [row]
 
     def test_smooth_point_matches_scan(self, capsys):
         rows, _ = report.smooth_scan_rows(DEFAULT_SETTINGS)
@@ -458,21 +470,71 @@ def test_non_finite_input_is_a_domain_error(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+PARSE_ERROR_ARGVS = [
+    ["pairs", "thresholds", "--pair", "x,1"],
+    ["pairs", "thresholds", "--pair", "1,2,3"],
+    ["moment", "watt", "--T", "10", "--coeffs", "power:3"],
+    ["zeta", "afe2", "--sigma", "0.75"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ERROR_ARGVS, ids=" ".join)
+def test_malformed_value_is_a_parse_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("zetalab: parse error: ")
+
+
+def _refuse_series(monkeypatch):
+    """Make every finite-sum harness fail the test if it reaches a sum or
+    a divisor sieve."""
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a series was summed or a divisor table sieved")
+
+    monkeypatch.setattr(zeta_module, "_direct_sums", reached)
+    monkeypatch.setattr(zeta_module, "DivisorTable", reached)
+    monkeypatch.setattr(report, "smoothed_sum", reached)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["zeta", "eval", "--sigma", "nan"],
         ["zeta", "eval", "--sigma", "0.5", "--t", "nan"],
         ["zeta", "afe", "--sigma", "nan", "--t", "10", "--cutoff", "5"],
+        ["zeta", "afe", "--sigma", "0.75", "--t", "inf", "--cutoff", "10"],
+        ["zeta", "afe2", "--sigma", "0.75", "--t", "nan"],
+        ["zeta", "smooth", "--sigma", "0.75", "--t", "inf", "--Y", "100"],
     ],
     ids=" ".join,
 )
-def test_non_finite_s_names_the_cause(argv, capsys):
+def test_non_finite_s_names_the_cause(argv, capsys, monkeypatch):
+    _refuse_series(monkeypatch)
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "s must be finite" in captured.err
-    assert "cannot reach target" not in captured.err
+    assert captured.err.startswith("zetalab: s must be finite, got ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "afe", "--sigma", "0.75", "--t", "2e6", "--cutoff", "1000000"],
+        ["zeta", "afe2", "--sigma", "0.75", "--t", "2e6", "--x", "3000000"],
+        ["zeta", "smooth", "--sigma", "0.75", "--t", "2e6", "--Y", "10000"],
+    ],
+    ids=" ".join,
+)
+def test_harness_refuses_large_t_before_summing(argv, capsys, monkeypatch):
+    # each would sum or sieve a million terms or more
+    _refuse_series(monkeypatch)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "zetalab: |t| > 1e+06 unsupported, got 2000000.0\n"
 
 
 # one past the cap on an exactly summed series (the smoothed series at

@@ -642,13 +642,10 @@ class TestSmoothedSum:
 
 
 class TestAfeZetaSquared:
-    def setup_method(self):
-        self.table = DivisorTable(3000)
-
     def test_balanced_point(self):
         s = 0.75 + 50j
         x = 50 / (2 * math.pi)
-        value, residual, bound = afe_zeta_squared(s, x, self.table)
+        value, residual, bound = afe_zeta_squared(s, x)
         assert bound == pytest.approx(x ** (0.5 - 0.75) * math.log(50))
         assert residual == pytest.approx(abs(value - zeta(s) ** 2))
         assert residual / bound <= 50.0
@@ -657,18 +654,18 @@ class TestAfeZetaSquared:
         t = 30.0
         s = 0.5 + 1j * t
         x = t * t / (4 * math.pi**2)  # makes y = 1: reflected sum is d(1) alone
-        value, residual, bound = afe_zeta_squared(s, x, self.table)
+        value, residual, bound = afe_zeta_squared(s, x)
         nx = int(x)
         n = np.arange(1, nx + 1, dtype=np.float64)
         first = complex(
-            np.sum(self.table.d[1 : nx + 1] * np.exp(-s * np.log(n))).item()
+            np.sum(DivisorTable(nx).d[1:] * np.exp(-s * np.log(n))).item()
         )
         assert abs(value - (first + chi(s) ** 2)) <= 1e-9 * (1 + abs(value))
 
     def test_critical_line_balanced(self):
         s = 0.5 + 30j
         x = 30 / (2 * math.pi)
-        value, residual, bound = afe_zeta_squared(s, x, self.table)
+        value, residual, bound = afe_zeta_squared(s, x)
         assert abs(value - zeta(s) ** 2) <= 50.0 * bound
 
     @pytest.mark.parametrize(
@@ -682,9 +679,4 @@ class TestAfeZetaSquared:
     )
     def test_domain_errors(self, s, x):
         with pytest.raises(DomainError):
-            afe_zeta_squared(s, x, self.table)
-
-    def test_table_too_small(self):
-        small = DivisorTable(10)
-        with pytest.raises(DomainError):
-            afe_zeta_squared(0.5 + 200j, 2000.0, small)
+            afe_zeta_squared(s, x)
