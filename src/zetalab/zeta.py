@@ -77,9 +77,11 @@ point that zeta() refuses is refused before any series is summed or any
 divisor table sieved.  zeta_grid_multi calls the same length rule at
 one point and adds the same _em_tail on arrays.
 _dirichlet_sum is the one Dirichlet-polynomial kernel on quadrature
-nodes: a phase row per cell of nodes, shifted to each node by a Taylor
-polynomial.  zeta_grid_multi takes its direct sum there, and the moment
-weights of the moments module take theirs.
+nodes: a phase row n^{-ic} per cell of nodes, built from the phases of
+the primes p <= M alone (n^{-ic} is completely multiplicative), and
+shifted to each node by a Taylor polynomial.  zeta_grid_multi takes its
+direct sum there, and the moment weights of the moments module take
+theirs.
 """
 
 from __future__ import annotations
@@ -109,11 +111,15 @@ _HALF_LN_2PI = 0.5 * math.log(2 * math.pi)
 
 _MAX_ABS_T = 1.0e6
 _BERNOULLI_ORDER = 12  # q, the Bernoulli correction terms of the EM formula
-# Dirichlet-polynomial weights: _dirichlet_sum holds about 2.4 KB per
-# term (tracemalloc peaks of 300-306 MiB at 2^17 terms for moment split
+# Dirichlet-polynomial weights: _dirichlet_sum holds about 2.5 KB per
+# term (tracemalloc peaks of 314-318 MiB at 2^17 terms for moment split
 # and watt, T = 96 to 2000), so longer weights are refused
 _MAX_WEIGHT_TERMS = 1 << 17
 _CELL_BLOCK = 64  # cells per phase block: bounds the block at 64 x M
+_GATHER_ROWS = 1024  # composite rows per gather-multiply: its two buffers take 2 MiB at 64 cells
+# (m, then _sieve_factors(m)): the held factor table of _dirichlet_sum's
+# phase rows, built on the first call; see _factor_table
+_factors = (0, *(np.empty(0, dtype=np.intp),) * 3)
 
 
 @dataclass(frozen=True)
@@ -219,16 +225,23 @@ def _em_tail(s, n: int):
     """Boundary and Bernoulli-correction terms at cut N = n, for a complex
     s or an array of s, nested as N^{-s} (N/(s-1) + 1/2 + (s/N) A) with
     A = c_1 + (s+1)(s+2)/N^2 (c_2 + (s+3)(s+4)/N^2 (c_3 + ...)) and
-    c_r = B_2r/(2r)!.  On an array the operators act in place; on a
-    complex they rebind."""
+    c_r = B_2r/(2r)!.  On an array the operators act in place, and a
+    quotient by a real d is a product with 1.0 / d: numpy divides a
+    complex array by a real as Smith's quotient, which is that product,
+    so the bytes are the ones of /.  On a complex they rebind and divide,
+    because CPython's quotient rounds differently."""
     coeffs = _correction_coeffs()
+    array = isinstance(s, np.ndarray)
     tail = coeffs[-1] + 0 * s
     for r in range(_BERNOULLI_ORDER - 1, 0, -1):
         tail *= s + (2 * r - 1)
         tail *= s + 2 * r
-        tail /= n * n
+        if array:
+            tail *= 1.0 / (n * n)
+        else:
+            tail /= n * n
         tail += coeffs[r - 1]
-    tail *= s / n
+    tail *= s * (1.0 / n) if array else s / n
     tail += 0.5
     tail += n / (s - 1)
     tail *= np.exp(-s * math.log(n))
@@ -308,6 +321,37 @@ def zeta(s: complex, settings: EvalSettings = DEFAULT_SETTINGS) -> complex:
     return _zeta_points([complex(s)], settings)[0]
 
 
+def _sieve_factors(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The primes <= m, the composites <= m in ascending order, and the
+    smallest prime factor of each composite."""
+    spf = np.zeros(m + 1, dtype=np.intp)
+    for p in range(2, math.isqrt(m) + 1):
+        if not spf[p]:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    composites = np.flatnonzero(spf)
+    return np.flatnonzero(spf[2:] == 0) + 2, composites, spf[composites]
+
+
+def _factor_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_sieve_factors(m) as read-only views of the held table.  A longer
+    request grows it at least twofold, short of _MAX_WEIGHT_TERMS; a
+    longer table is built for its call and not kept.  The sieve of a
+    longer m, cut at m, is the sieve of m."""
+    global _factors
+    table = _factors
+    if table[0] < m:
+        size = max(m, min(2 * table[0], _MAX_WEIGHT_TERMS))
+        table = (size, *_sieve_factors(size))
+        for part in table[1:]:
+            part.flags.writeable = False
+        if size <= _MAX_WEIGHT_TERMS:
+            _factors = table
+    _, primes, composites, spf = table
+    cut = np.searchsorted(composites, m, side="right")
+    return primes[: np.searchsorted(primes, m, side="right")], composites[:cut], spf[:cut]
+
+
 def _dirichlet_sum(coeffs: np.ndarray, ts: np.ndarray, log_len: float) -> np.ndarray:
     """sum_{n <= M} c_n e^{-it log n} for each real row c of coeffs (R x M)
     and each node t of a non-empty ts, by a cell-centred Taylor shift (the
@@ -320,7 +364,7 @@ def _dirichlet_sum(coeffs: np.ndarray, ts: np.ndarray, log_len: float) -> np.nda
 
         M_k = sum_n c_n e^{-ic log n} u_n^k / k!,   k < K,
 
-    by one phase row and real matrix products, and each node gets
+    and each node gets
 
         D(t) = e^{-ih (1/2) log_len} sum_{k<K} (-ih)^k M_k.
 
@@ -328,11 +372,40 @@ def _dirichlet_sum(coeffs: np.ndarray, ts: np.ndarray, log_len: float) -> np.nda
     the smallest integer with e^x x^K / K! <= 2^-53 (K <= 19) the dropped
     tail is below the rounding of sum_n |c_n|.  When every cell is lone,
     h = 0 and K = 1: the plain direct sum; at M = 1 with log_len = 0 the
-    result is c_1 exactly.  The phase c log n is rounded like t log n, so
-    values carry a direct sum's eps * |t| * log M level.  The cells
-    depend only on the nodes of this call.
+    result is c_1 exactly.  The cells depend only on the nodes of this
+    call.
+
+    The phases n^{-ic} of up to _CELL_BLOCK cells are one M x cells
+    complex block, its rows in the order 1, the primes, the composites
+    (_factor_table).  Only prime rows take a cosine and a sine of c log p;
+    n^{-ic} is completely multiplicative, so the composites of each
+    dyadic block (2^(k-1), 2^k], whose smallest prime factor and
+    cofactor both lie at or below 2^(k-1), are one product of two
+    gathered row sets.  The block's interleaved real view then meets
+    every row's weights u_n^k / k! c_n in one real matrix product.  A
+    prime phase is rounded like t log p, and a product's phase error is
+    at most the sum of its prime factors' errors plus one rounding per
+    product, at most log2 M of them, so values keep a direct sum's
+    eps * |t| * log M level (eps * log M near t = 0).
     """
-    logk = np.log(np.arange(1, coeffs.shape[1] + 1, dtype=np.float64))
+    m_len = coeffs.shape[1]
+    primes, composites, spf = _factor_table(m_len)
+    rank = np.concatenate(([1], primes, composites))[:m_len]  # n of each phase row
+    row_of = np.empty(m_len + 1, dtype=np.intp)
+    row_of[rank] = np.arange(m_len)
+    left, right = row_of[spf], row_of[composites // spf]
+    ends = np.searchsorted(composites, 2 ** np.arange(1, m_len.bit_length() + 1), side="right")
+    first_row = 1 + primes.size
+    runs = []  # (rows of the two factors, the rows they fill), in order
+    for a, b in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        for start in range(a, b, _GATHER_ROWS):
+            stop = min(start + _GATHER_ROWS, b)
+            fills = slice(first_row + start, first_row + stop)
+            runs.append((left[start:stop], right[start:stop], fills))
+    longest = max((rows.size for rows, _, _ in runs), default=0)
+    logk = np.log(rank.astype(np.float64))
+    log_primes = logk[1 : 1 + primes.size]
+
     half_len = 0.5 * log_len
     width = 4 / log_len if log_len > 0 else math.inf
     cells, cell_of = np.unique(np.floor(ts / width), return_inverse=True)
@@ -350,33 +423,38 @@ def _dirichlet_sum(coeffs: np.ndarray, ts: np.ndarray, log_len: float) -> np.nda
         bound *= x / order
 
     u = logk - half_len
-    vander = np.empty((order, logk.size))  # row k: u^k / k!
+    vander = np.empty((order, m_len))  # row k: u^k / k!
     vander[0] = 1.0
     for k in range(1, order):
         np.multiply(vander[k - 1], u, out=vander[k])
         vander[k] /= k
-    weighted = [(vander * row).T for row in coeffs]
+    weighted = vander * coeffs.take(rank - 1, axis=1)[:, None]
+    weighted = weighted.reshape(len(coeffs) * order, m_len)
     moments = np.empty((len(coeffs), order, n_cells), dtype=np.complex128)
     for first in range(0, n_cells, _CELL_BLOCK):
         c = centres[first : first + _CELL_BLOCK]
-        trig = np.empty((2, c.size, logk.size))
-        np.multiply.outer(c, logk, out=trig[1])
-        np.cos(trig[1], out=trig[0])
-        np.sin(trig[1], out=trig[1])
-        trig = trig.reshape(2 * c.size, logk.size)
-        for row, w in enumerate(weighted):
-            prod = (trig @ w).T  # cos rows, then sin rows: e^{-ix} = cos x - i sin x
-            block = moments[row, :, first : first + c.size]
-            block.real = prod[:, : c.size]
-            block.imag = -prod[:, c.size :]
+        phase = np.empty((m_len, c.size), dtype=np.complex128)
+        phase[:1] = 1.0
+        angle = np.multiply.outer(log_primes, -c)
+        np.cos(angle, out=phase[1 : 1 + primes.size].real)
+        np.sin(angle, out=phase[1 : 1 + primes.size].imag)
+        gather = np.empty((2, longest, c.size), dtype=np.complex128)
+        for rows_a, rows_b, rows in runs:  # "clip": "raise" would buffer the output
+            a = np.take(phase, rows_a, axis=0, out=gather[0, : rows_a.size], mode="clip")
+            b = np.take(phase, rows_b, axis=0, out=gather[1, : rows_b.size], mode="clip")
+            np.multiply(a, b, out=phase[rows])
+        prod = weighted @ phase.view(np.float64)
+        moments[:, :, first : first + c.size] = prod.view(np.complex128).reshape(
+            len(coeffs), order, c.size
+        )
 
+    step = -1j * h
     shift = np.exp(-1j * half_len * h)
     out = np.empty((len(coeffs), ts.size), dtype=np.complex128)
     for row, m in enumerate(moments):
         direct = m[order - 1][cell_of]
         for k in range(order - 2, -1, -1):
-            direct *= -1j  # times -ih: -i exactly, then h
-            direct *= h
+            direct *= step
             direct += m[k][cell_of]
         np.multiply(direct, shift, out=out[row])
     return out
@@ -405,8 +483,7 @@ def zeta_grid_multi(
     n = _choose_terms(complex(min(sigmas), abs(t_extreme)), settings)
     logk = np.log(np.arange(1, n, dtype=np.float64))
     out = _dirichlet_sum(np.exp(-np.outer(sigmas, logk)), ts, math.log(n))
-    for row, sig in enumerate(sigmas):
-        out[row] += _em_tail(sig + 1j * ts, n)
+    out += _em_tail(np.asarray(sigmas, dtype=np.float64)[:, None] + 1j * ts, n)
     if not np.all(np.isfinite(out)):
         raise PrecisionError("non-finite zeta value in grid evaluation")
     return out

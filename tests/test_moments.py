@@ -296,7 +296,8 @@ def test_dirichlet_sum_matches_dense_phase_matrix():
     # it is 0, and the kernel must return c exactly.
     rng = np.random.default_rng(7)
     heights = [np.linspace(-300.0, 300.0, 1301), 1e4 + np.linspace(-3.0, 3.0, 401)]
-    for m_len in (1, 2, 40, 115):
+    # block edges and primes of the phase rows' factor table among the lengths
+    for m_len in (1, 2, 3, 4, 8, 9, 16, 17, 40, 115, 127, 128, 129, 1024, 1025):
         log_m = np.log(np.arange(1.0, m_len + 1))
         real = np.arange(1.0, m_len + 1) ** -0.75
         for coeffs in (real, real * np.exp(2j * np.pi * rng.random(m_len))):
@@ -313,6 +314,7 @@ def test_dirichlet_sum_matches_dense_phase_matrix():
     ts = np.concatenate(heights)
     single = np.array([[0.75], [-2.5]])
     assert np.array_equal(_dirichlet_sum(single, ts, 0.0), np.broadcast_to(single, (2, ts.size)))
+    assert not np.any(_dirichlet_sum(np.zeros((2, 0)), ts, 0.0))  # M = 0: empty sums
 
 
 class TestGrowthFit:

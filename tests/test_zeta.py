@@ -7,6 +7,7 @@ below the asserted tolerance.
 """
 
 import cmath
+import importlib
 import math
 import re
 
@@ -38,15 +39,22 @@ from zetalab.quadrature import panel_edges
 from zetalab.zeta import (
     DEFAULT_SETTINGS,
     _LOG_BERNOULLI,
+    _MAX_WEIGHT_TERMS,
     _choose_terms,
+    _correction_coeffs,
+    _em_tail,
+    _factor_table,
     _log_gamma,
     _remainder_log_terms,
+    _sieve_factors,
     _zeta_at,
     _zeta_points,
     _zeta_values,
     bernoulli_numbers,
     default_smoothing_truncation,
 )
+
+zeta_module = importlib.import_module("zetalab.zeta")
 
 # frozen oracles (see module docstring)
 ZETA_HALF = -1.4603545088095868
@@ -318,6 +326,94 @@ class TestGridTaylorShift:
         _assert_grid_matches_scalar(
             np.concatenate([-_panel_nodes(1000.0), -_panel_nodes(100.0), _panel_nodes(100.0)])
         )
+
+
+FACTOR_LENGTHS = [1, 2, 3, 4, 5, 8, 9, 16, 17, 1023, 1024, 1025]
+NO_FACTORS = (0, *(np.empty(0, dtype=np.intp),) * 3)  # the table before any kernel call
+
+
+def _trial_division_primes(m: int) -> list[int]:
+    return [n for n in range(2, m + 1) if all(n % p for p in range(2, math.isqrt(n) + 1))]
+
+
+class TestFactorTable:
+    """The primes and smallest prime factors behind _dirichlet_sum's
+    phase rows, against trial division."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(zeta_module, "_factors", NO_FACTORS)
+
+    @pytest.mark.parametrize("m", FACTOR_LENGTHS)
+    def test_primes_and_factors(self, m):
+        primes, composites, spf = _factor_table(m)
+        expected = _trial_division_primes(m)
+        assert primes.tolist() == expected
+        assert composites.tolist() == sorted(set(range(4, m + 1)) - set(expected))
+        for n, p in zip(composites.tolist(), spf.tolist()):
+            assert p == min(q for q in expected if n % q == 0)
+            assert p * (n // p) == n
+            # n lies in (2^(k-1), 2^k]; both factors lie at or below 2^(k-1)
+            half = 1 << ((n - 1).bit_length() - 1)
+            assert p <= half and n // p <= half
+
+    @pytest.mark.parametrize("m", FACTOR_LENGTHS)
+    def test_grown_table_cut_at_m_is_the_sieve_of_m(self, m):
+        built = _sieve_factors(m)
+        for first in (1, max(1, m // 3), m - 1, m + 1, 3 * m):
+            zeta_module._factors = NO_FACTORS
+            _factor_table(first)
+            _factor_table(first + 1)  # grows twofold
+            for got, want in zip(_factor_table(m), built):
+                assert np.array_equal(got, want) and not got.flags.writeable
+            held = zeta_module._factors
+            assert held[0] >= m
+            for got, want in zip(held[1:], _sieve_factors(held[0])):
+                assert np.array_equal(got, want)
+
+    def test_request_above_the_cap_is_not_held(self):
+        _factor_table(1025)
+        held = zeta_module._factors
+        above = _MAX_WEIGHT_TERMS + 1
+        for got, want in zip(_factor_table(above), _sieve_factors(above)):
+            assert np.array_equal(got, want)
+        assert zeta_module._factors is held
+        _factor_table(_MAX_WEIGHT_TERMS // 2 + 1)
+        _factor_table(_MAX_WEIGHT_TERMS // 2 + 2)  # twofold would pass the cap
+        assert zeta_module._factors[0] == _MAX_WEIGHT_TERMS
+
+
+def _em_tail_by_division(s, n: int):
+    """_em_tail as written with quotients on arrays too: the formulation
+    whose bytes the array branch keeps."""
+    coeffs = _correction_coeffs()
+    tail = coeffs[-1] + 0 * s
+    for r in range(len(coeffs) - 1, 0, -1):
+        tail *= s + (2 * r - 1)
+        tail *= s + 2 * r
+        tail /= n * n
+        tail += coeffs[r - 1]
+    tail *= s / n
+    tail += 0.5
+    tail += n / (s - 1)
+    tail *= np.exp(-s * math.log(n))
+    return tail
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_array_em_tail_keeps_the_bytes_of_division(rows):
+    rng = np.random.default_rng(rows)
+    lengths = [2, 3, 10, 1024, 10**5, *rng.integers(2, 10**5, 12).tolist()]
+    for n in lengths:
+        ts = np.concatenate(
+            [[0.0, 0.0, -1e-3, 1e-3], -rng.exponential(50, 20), rng.uniform(-1e4, 1e4, 40)]
+        )
+        sigmas = rng.uniform(-1, 2, (rows, ts.size))
+        sigmas[:, :2] = [-1.0, 2.0]
+        s = sigmas + 1j * ts
+        assert _em_tail(s, n).tobytes() == _em_tail_by_division(s, n).tobytes(), n
+        for point in s.ravel()[::7].tolist():
+            assert _bits(_em_tail(point, n)) == _bits(_em_tail_by_division(point, n))
 
 
 def _bits(z: complex) -> tuple[str, str]:
